@@ -139,7 +139,8 @@ struct SystemConfig {
   /// k: how many request/reply rounds each probe performs; the detector
   /// evaluates the *median* measured distance and RTT, so one delayed
   /// retransmission cannot trigger a false local-replay verdict. k = 1
-  /// reproduces the single-shot paper protocol.
+  /// reproduces the single-shot paper protocol; k = 0 is rejected when the
+  /// system is constructed.
   std::size_t rtt_probe_repeats = 1;
 
   /// Per-attempt loss probability of the alert transport (detecting

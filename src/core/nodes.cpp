@@ -63,6 +63,9 @@ SystemContext::SystemContext(const SystemConfig& cfg)
       dissemination(cfg.revocation_reach_probability,
                     cfg.seed ^ 0xd15534731a7e0000ULL),
       rng(cfg.seed) {
+  if (cfg.rtt_probe_repeats == 0)
+    throw std::invalid_argument(
+        "SystemConfig: rtt_probe_repeats must be >= 1 (got 0)");
   // Calibrate the RTT filter exactly the way the paper does: measure the
   // no-attack distribution and take x_max as the acceptance threshold.
   {
@@ -512,8 +515,7 @@ void BeaconNode::handle_probe_reply(const sim::Delivery& delivery) {
 
   // Median-of-k probing: keep exchanging until k rounds answered, then
   // judge the median measurement (k = 1: this round's values verbatim).
-  const std::size_t k = std::max<std::size_t>(1, ctx_.config.rtt_probe_repeats);
-  if (probe.rtt_samples.size() < k) {
+  if (probe.rtt_samples.size() < ctx_.config.rtt_probe_repeats) {
     probe.attempt = 0;  // fresh ARQ budget for the next round
     send_probe_round(std::move(probe), /*is_retransmission=*/false);
     return;

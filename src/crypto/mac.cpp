@@ -1,19 +1,22 @@
 #include "crypto/mac.hpp"
 
+#include <array>
+
 #include "obs/profiler.hpp"
-#include "util/bytes.hpp"
 
 namespace sld::crypto {
 
 MacTag compute_mac(const Key128& key, std::uint32_t src, std::uint32_t dst,
                    std::span<const std::uint8_t> payload) {
   SLD_PROF_SCOPE("crypto.mac");
-  util::ByteWriter w;
-  w.u32(src);
-  w.u32(dst);
-  w.u32(static_cast<std::uint32_t>(payload.size()));
-  w.bytes(payload);
-  return siphash24(key, w.data());
+  // The tag covers src || dst || len (little-endian u32s) || payload. The
+  // header is streamed from the stack, so no buffer is built per packet.
+  std::array<std::uint8_t, 12> header{};
+  const std::uint32_t fields[3] = {src, dst,
+                                   static_cast<std::uint32_t>(payload.size())};
+  for (std::size_t i = 0; i < header.size(); ++i)
+    header[i] = static_cast<std::uint8_t>(fields[i / 4] >> (8 * (i % 4)));
+  return SipHasher(key).update(header).update(payload).finish();
 }
 
 bool verify_mac(const Key128& key, std::uint32_t src, std::uint32_t dst,

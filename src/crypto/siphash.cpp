@@ -16,65 +16,69 @@ std::uint64_t load_le64(const std::uint8_t* p) {
   return v;
 }
 
-struct SipState {
-  std::uint64_t v0, v1, v2, v3;
-
-  void round() {
-    v0 += v1;
-    v1 = rotl(v1, 13);
-    v1 ^= v0;
-    v0 = rotl(v0, 32);
-    v2 += v3;
-    v3 = rotl(v3, 16);
-    v3 ^= v2;
-    v0 += v3;
-    v3 = rotl(v3, 21);
-    v3 ^= v0;
-    v2 += v1;
-    v1 = rotl(v1, 17);
-    v1 ^= v2;
-    v2 = rotl(v2, 32);
-  }
-};
-
 }  // namespace
+
+SipHasher::SipHasher(const Key128& key)
+    : v0_(0x736f6d6570736575ULL ^ load_le64(key.data())),
+      v1_(0x646f72616e646f6dULL ^ load_le64(key.data() + 8)),
+      v2_(0x6c7967656e657261ULL ^ load_le64(key.data())),
+      v3_(0x7465646279746573ULL ^ load_le64(key.data() + 8)) {}
+
+void SipHasher::round() {
+  v0_ += v1_;
+  v1_ = rotl(v1_, 13);
+  v1_ ^= v0_;
+  v0_ = rotl(v0_, 32);
+  v2_ += v3_;
+  v3_ = rotl(v3_, 16);
+  v3_ ^= v2_;
+  v0_ += v3_;
+  v3_ = rotl(v3_, 21);
+  v3_ ^= v0_;
+  v2_ += v1_;
+  v1_ = rotl(v1_, 17);
+  v1_ ^= v2_;
+  v2_ = rotl(v2_, 32);
+}
+
+void SipHasher::compress(std::uint64_t block) {
+  v3_ ^= block;
+  round();
+  round();
+  v0_ ^= block;
+}
+
+SipHasher& SipHasher::update(std::span<const std::uint8_t> data) {
+  const std::uint8_t* p = data.data();
+  std::size_t n = data.size();
+  // Top up a block left partial by the previous call.
+  for (; n > 0 && (len_ & 7) != 0; --n, ++len_) {
+    tail_ |= static_cast<std::uint64_t>(*p++) << (8 * (len_ & 7));
+    if ((len_ & 7) == 7) {
+      compress(tail_);
+      tail_ = 0;
+    }
+  }
+  for (; n >= 8; n -= 8, p += 8, len_ += 8) compress(load_le64(p));
+  for (std::size_t i = 0; i < n; ++i, ++len_)
+    tail_ |= static_cast<std::uint64_t>(p[i]) << (8 * i);
+  return *this;
+}
+
+std::uint64_t SipHasher::finish() const {
+  SipHasher s = *this;
+  s.compress(((len_ & 0xff) << 56) | tail_);
+  s.v2_ ^= 0xff;
+  s.round();
+  s.round();
+  s.round();
+  s.round();
+  return s.v0_ ^ s.v1_ ^ s.v2_ ^ s.v3_;
+}
 
 std::uint64_t siphash24(const Key128& key,
                         std::span<const std::uint8_t> data) {
-  const std::uint64_t k0 = load_le64(key.data());
-  const std::uint64_t k1 = load_le64(key.data() + 8);
-
-  SipState s{0x736f6d6570736575ULL ^ k0, 0x646f72616e646f6dULL ^ k1,
-             0x6c7967656e657261ULL ^ k0, 0x7465646279746573ULL ^ k1};
-
-  const std::size_t len = data.size();
-  const std::size_t full_blocks = len / 8;
-  const std::uint8_t* p = data.data();
-
-  for (std::size_t i = 0; i < full_blocks; ++i, p += 8) {
-    const std::uint64_t m = load_le64(p);
-    s.v3 ^= m;
-    s.round();
-    s.round();
-    s.v0 ^= m;
-  }
-
-  std::uint64_t last = static_cast<std::uint64_t>(len & 0xff) << 56;
-  for (std::size_t i = 0; i < (len & 7); ++i)
-    last |= static_cast<std::uint64_t>(p[i]) << (8 * i);
-
-  s.v3 ^= last;
-  s.round();
-  s.round();
-  s.v0 ^= last;
-
-  s.v2 ^= 0xff;
-  s.round();
-  s.round();
-  s.round();
-  s.round();
-
-  return s.v0 ^ s.v1 ^ s.v2 ^ s.v3;
+  return SipHasher(key).update(data).finish();
 }
 
 std::uint64_t siphash24_u64(const Key128& key, std::uint64_t value) {

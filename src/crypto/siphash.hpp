@@ -14,6 +14,28 @@ namespace sld::crypto {
 /// 128-bit SipHash key.
 using Key128 = std::array<std::uint8_t, 16>;
 
+/// Incremental SipHash-2-4: a message fed through any number of update()
+/// calls hashes exactly like siphash24() over the concatenation. At most 7
+/// bytes are pending between calls, so hashing never allocates — which is
+/// what lets the MAC bind a header to a payload without building a buffer.
+class SipHasher {
+ public:
+  explicit SipHasher(const Key128& key);
+
+  SipHasher& update(std::span<const std::uint8_t> data);
+
+  /// The tag of everything absorbed so far (the hasher stays usable).
+  std::uint64_t finish() const;
+
+ private:
+  void round();
+  void compress(std::uint64_t block);
+
+  std::uint64_t v0_, v1_, v2_, v3_;
+  std::uint64_t tail_ = 0;  // pending bytes of the current block, LE
+  std::uint64_t len_ = 0;   // bytes absorbed
+};
+
 /// SipHash-2-4 of `data` under `key`.
 std::uint64_t siphash24(const Key128& key, std::span<const std::uint8_t> data);
 

@@ -108,7 +108,7 @@ Node* Channel::find(NodeId id) const {
   return it == nodes_.end() ? nullptr : it->second;
 }
 
-void Channel::unicast(const Node& sender, Message msg) {
+void Channel::unicast(const Node& sender, const Message& msg) {
   SLD_MEM_SCOPE("channel");
   // A crashed node does not transmit at all.
   if (faults_.enabled() &&
@@ -154,7 +154,7 @@ NodeRadioStats Channel::total_radio() const {
   return total;
 }
 
-void Channel::inject(const TxContext& ctx, Message msg) {
+void Channel::inject(const TxContext& ctx, const Message& msg) {
   if (ctx.radiating_range <= 0.0)
     throw std::invalid_argument("Channel::inject: bad radiating range");
   transmit(ctx, msg);
@@ -366,13 +366,27 @@ void Channel::schedule_delivery(Node& dst, const TxContext& ctx,
   auto& radio = radio_[dst.id()];
   ++radio.packets_received;
   radio.bytes_received += msg.payload.size() + config_.frame_overhead_bytes;
-  Node* dst_ptr = &dst;
-  TxContext ctx_copy = ctx;
-  Message msg_copy = msg;
-  scheduler_.schedule_after(delay, [this, dst_ptr, ctx_copy, msg_copy]() {
-    Delivery d{msg_copy, ctx_copy, scheduler_.now()};
-    dst_ptr->on_message(d);
-  });
+  std::uint32_t slot = free_in_flight_;
+  if (slot == kNoSlot) {
+    slot = static_cast<std::uint32_t>(in_flight_.size());
+    in_flight_.emplace_back();
+  } else {
+    free_in_flight_ = in_flight_[slot].next_free;
+  }
+  InFlight& f = in_flight_[slot];
+  f.dst = &dst;
+  f.delivery.msg = msg;  // reuses the slot's payload capacity
+  f.delivery.ctx = ctx;
+  scheduler_.schedule_after(delay,
+                            [this, slot]() { complete_delivery(slot); });
+}
+
+void Channel::complete_delivery(std::uint32_t slot) {
+  InFlight& f = in_flight_[slot];
+  f.delivery.rx_time = scheduler_.now();
+  f.dst->on_message(f.delivery);
+  f.next_free = free_in_flight_;
+  free_in_flight_ = slot;
 }
 
 }  // namespace sld::sim

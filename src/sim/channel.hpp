@@ -12,6 +12,7 @@
 #pragma once
 
 #include <cstdint>
+#include <deque>
 #include <functional>
 #include <unordered_map>
 #include <vector>
@@ -132,12 +133,13 @@ class Channel {
 
   /// Sends `msg` from `sender` using the sender's true position/range.
   /// The message is delivered directly if the destination is in range and
-  /// additionally through every wormhole whose mouths connect them.
-  void unicast(const Node& sender, Message msg);
+  /// additionally through every wormhole whose mouths connect them. Each
+  /// delivery gets its own copy, so `msg` need not outlive the call.
+  void unicast(const Node& sender, const Message& msg);
 
   /// Injects a transmission with an arbitrary physical context — used by
   /// attacker devices replaying captured packets.
-  void inject(const TxContext& ctx, Message msg);
+  void inject(const TxContext& ctx, const Message& msg);
 
   /// True if `to` can hear a transmission radiating from `from_pos` with
   /// range `from_range` directly (no wormhole).
@@ -192,6 +194,8 @@ class Channel {
   void deliver(Node& dst, const TxContext& ctx, const Message& msg);
   void schedule_delivery(Node& dst, const TxContext& ctx, const Message& msg,
                          SimTime delay);
+  /// Hands in-flight slot `slot` to its receiver, then frees the slot.
+  void complete_delivery(std::uint32_t slot);
   /// Asserts the ChannelStats conservation law (no-op in Release builds).
   void check_conservation() const;
 
@@ -203,6 +207,24 @@ class Channel {
   std::vector<WormholeLink> wormholes_;
   std::vector<RadioObserver*> observers_;
   ChannelStats stats_;
+
+  /// In-flight slots: a scheduled delivery is copied once into a slot and
+  /// its event captures only (this, slot index), which std::function
+  /// stores without allocating. A slot is freed after its receiver's
+  /// on_message returns, so the Delivery a handler reads stays put for the
+  /// whole callback; freed slots keep their payload capacity for the next
+  /// copy. The handler may transmit, claiming new slots as it runs, and a
+  /// deque grows without moving existing elements, so references into
+  /// slots stay valid throughout.
+  static constexpr std::uint32_t kNoSlot = ~std::uint32_t{0};
+  struct InFlight {
+    Node* dst = nullptr;
+    Delivery delivery;
+    std::uint32_t next_free = kNoSlot;  // free-list link while unused
+  };
+  std::deque<InFlight> in_flight_;
+  std::uint32_t free_in_flight_ = kNoSlot;
+
   std::unordered_map<NodeId, NodeRadioStats> radio_;
   obs::Tracer trace_;
   HotStats* hot_ = nullptr;

@@ -30,8 +30,8 @@ struct HotStats {
   /// Nodes examined per transmission scan (hot.scan_fanout): every
   /// registered observer plus the wormhole tunnels tested.
   obs::Histogram* scan_fanout = nullptr;
-  /// Sim-time from packet scheduling (the in-flight copy's allocation) to
-  /// its delivery callback (the copy's release) (hot.packet_lifetime_ns).
+  /// Sim-time from packet scheduling (an in-flight slot is claimed) to its
+  /// delivery callback (the slot is freed) (hot.packet_lifetime_ns).
   obs::Histogram* packet_lifetime_ns = nullptr;
 
   /// Running totals behind the histograms, for exact gating.

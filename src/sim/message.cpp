@@ -6,7 +6,7 @@ namespace sld::sim {
 
 util::Bytes BeaconRequestPayload::serialize() const {
   SLD_MEM_SCOPE("messages");
-  util::ByteWriter w;
+  util::ByteWriter w(kWireBytes);
   w.u64(nonce);
   return w.take();
 }
@@ -20,7 +20,7 @@ BeaconRequestPayload BeaconRequestPayload::parse(const util::Bytes& bytes) {
 
 util::Bytes BeaconReplyPayload::serialize() const {
   SLD_MEM_SCOPE("messages");
-  util::ByteWriter w;
+  util::ByteWriter w(kWireBytes);
   w.u64(nonce);
   w.f64(claimed_position.x);
   w.f64(claimed_position.y);
@@ -44,7 +44,7 @@ BeaconReplyPayload BeaconReplyPayload::parse(const util::Bytes& bytes) {
 
 util::Bytes AlertPayload::serialize() const {
   SLD_MEM_SCOPE("messages");
-  util::ByteWriter w;
+  util::ByteWriter w(kWireBytes);
   w.u32(reporter);
   w.u32(target);
   return w.take();
@@ -60,7 +60,7 @@ AlertPayload AlertPayload::parse(const util::Bytes& bytes) {
 
 util::Bytes RevocationPayload::serialize() const {
   SLD_MEM_SCOPE("messages");
-  util::ByteWriter w;
+  util::ByteWriter w(kWireBytes);
   w.u32(revoked);
   return w.take();
 }

@@ -8,6 +8,7 @@
 // attackers lie at the packet layer while the physics stays honest.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 
 #include "crypto/mac.hpp"
@@ -69,12 +70,16 @@ struct Delivery {
 };
 
 /// --- Protocol payloads -----------------------------------------------
+///
+/// Each payload has a fixed wire size, `kWireBytes`; serialize() reserves
+/// exactly that much, so encoding costs one allocation.
 
 /// Request for a beacon signal. The nonce pairs replies with requests and
 /// feeds the RTT measurement.
 struct BeaconRequestPayload {
   std::uint64_t nonce = 0;
 
+  static constexpr std::size_t kWireBytes = 8;
   util::Bytes serialize() const;
   static BeaconRequestPayload parse(const util::Bytes& bytes);
 };
@@ -95,6 +100,7 @@ struct BeaconReplyPayload {
   /// "convince them it came through a wormhole" strategy). Honest: false.
   bool fake_wormhole_indication = false;
 
+  static constexpr std::size_t kWireBytes = 8 + 4 * 8 + 1;
   util::Bytes serialize() const;
   static BeaconReplyPayload parse(const util::Bytes& bytes);
 };
@@ -107,6 +113,7 @@ struct AlertPayload {
   NodeId reporter = 0;
   NodeId target = 0;
 
+  static constexpr std::size_t kWireBytes = 8;
   util::Bytes serialize() const;
   static AlertPayload parse(const util::Bytes& bytes);
 };
@@ -115,6 +122,7 @@ struct AlertPayload {
 struct RevocationPayload {
   NodeId revoked = 0;
 
+  static constexpr std::size_t kWireBytes = 4;
   util::Bytes serialize() const;
   static RevocationPayload parse(const util::Bytes& bytes);
 };

@@ -25,6 +25,9 @@ class TruncatedBuffer : public std::runtime_error {
 class ByteWriter {
  public:
   ByteWriter() = default;
+  /// Reserves `capacity` bytes up front: a writer sized to its exact
+  /// output allocates once instead of growing byte by byte.
+  explicit ByteWriter(std::size_t capacity) { out_.reserve(capacity); }
 
   void u8(std::uint8_t v) { out_.push_back(v); }
   void u16(std::uint16_t v);

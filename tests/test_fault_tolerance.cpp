@@ -4,6 +4,9 @@
 // fault-free trial exactly.
 #include <gtest/gtest.h>
 
+#include <stdexcept>
+#include <string>
+
 #include "core/experiment.hpp"
 #include "core/secure_localization.hpp"
 
@@ -148,6 +151,21 @@ TEST(FaultTolerance, MedianOfKProbingMatchesSingleShotWhenClean) {
   EXPECT_EQ(sb.raw.probes_sent, 3 * sa.raw.probes_sent);
   EXPECT_EQ(sa.malicious_revoked, sb.malicious_revoked);
   EXPECT_EQ(sa.benign_revoked, sb.benign_revoked);
+}
+
+TEST(FaultTolerance, ZeroProbeRepeatsRejectedAtConstruction) {
+  // k = 0 used to be clamped to 1 on every probe reply; it now fails once,
+  // when the system is built, naming the field.
+  SystemConfig c = small_config();
+  c.rtt_probe_repeats = 0;
+  try {
+    SecureLocalizationSystem sys(c);
+    FAIL() << "rtt_probe_repeats = 0 was accepted";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string(e.what()).find("rtt_probe_repeats"),
+              std::string::npos)
+        << e.what();
+  }
 }
 
 TEST(FaultTolerance, CrashedBeaconGoesUndetectedButAccounted) {

@@ -60,5 +60,30 @@ TEST(Mac, RandomGuessFails) {
   EXPECT_FALSE(verify_mac(key_a(), 1, 2, kPayload, 0));
 }
 
+// Known-answer tags recorded from the buffer-building MAC (header and
+// payload copied into one heap buffer, then hashed in one shot). The
+// streaming MAC must reproduce them bit for bit at every length, including
+// the 8- and 41-byte protocol payloads and the longer TESLA / cipher ones.
+TEST(Mac, KnownAnswerTagsAcrossPayloadLengths) {
+  Key128 key{};
+  for (std::size_t i = 0; i < key.size(); ++i)
+    key[i] = static_cast<std::uint8_t>(0xa0 + i);
+  const struct {
+    std::size_t len;
+    MacTag tag;
+  } kCases[] = {
+      {0, 0xc7765c7d24d1bedbULL},  {3, 0xb845e63f1dec0c24ULL},
+      {8, 0xa486433e75f3b114ULL},  {41, 0x88dbdfa133d72e69ULL},
+      {64, 0xd9b7961d69bf049aULL}, {200, 0x0204e322afed9172ULL},
+  };
+  for (const auto& c : kCases) {
+    std::vector<std::uint8_t> payload(c.len);
+    for (std::size_t i = 0; i < c.len; ++i)
+      payload[i] = static_cast<std::uint8_t>(i * 7 + 3);
+    EXPECT_EQ(compute_mac(key, 0x1234, 0xbeef0001, payload), c.tag)
+        << "payload length " << c.len;
+  }
+}
+
 }  // namespace
 }  // namespace sld::crypto

@@ -3,7 +3,8 @@
 // a memstats-on trial is bit-for-bit identical to a memstats-off one on
 // every simulation output — exact per-scope and roll-up stability across
 // --jobs 1 vs 4, and a property test over random scope nestings (repro
-// via SLD_PROP_SEED, like every prop test).
+// via SLD_PROP_SEED, like every prop test). Allocation budgets pin the
+// message path: MAC, payload codec and a warmed-up channel round trip.
 #include "obs/memstats.hpp"
 
 #include <gtest/gtest.h>
@@ -15,8 +16,11 @@
 
 #include "core/experiment.hpp"
 #include "core/secure_localization.hpp"
+#include "crypto/mac.hpp"
 #include "obs/trace.hpp"
 #include "prop/prop.hpp"
+#include "sim/message.hpp"
+#include "sim/network.hpp"
 #include "util/geometry.hpp"
 
 namespace sld {
@@ -294,6 +298,103 @@ TEST(Memstats, PropRandomScopeNestingsAccountExactly) {
       prop::Config{});
   Memstats::set_enabled(false);
   EXPECT_TRUE(ok);
+}
+
+// --- allocation budgets of the message path --------------------------------
+
+TEST(MemstatsBudget, MacComputeAndVerifyAllocateNothing) {
+  crypto::Key128 key{};
+  key[3] = 9;
+  const std::vector<std::uint8_t> reply(sim::BeaconReplyPayload::kWireBytes,
+                                        0x5a);
+  const std::vector<std::uint8_t> long_payload(200, 0xa5);
+  Memstats::set_enabled(true);
+  const MemScopeStats before = Memstats::thread_totals_for("ms_budget_mac");
+  bool ok = true;
+  {
+    SLD_MEM_SCOPE("ms_budget_mac");
+    for (const auto* payload : {&reply, &long_payload}) {
+      const crypto::MacTag tag = crypto::compute_mac(key, 1, 2, *payload);
+      ok = ok && crypto::verify_mac(key, 1, 2, *payload, tag);
+    }
+  }
+  const MemScopeStats after = Memstats::thread_totals_for("ms_budget_mac");
+  Memstats::set_enabled(false);
+  EXPECT_TRUE(ok);
+  EXPECT_EQ(after.allocs - before.allocs, 0u);
+}
+
+// serialize() runs in the "messages" scope; returns its allocation count
+// and checks the encoding is exactly kWireBytes long with no slack.
+template <typename Payload>
+std::uint64_t serialize_allocs(const Payload& payload) {
+  const MemScopeStats before = Memstats::thread_totals_for("messages");
+  const util::Bytes bytes = payload.serialize();
+  const MemScopeStats after = Memstats::thread_totals_for("messages");
+  EXPECT_EQ(bytes.size(), Payload::kWireBytes);
+  EXPECT_EQ(bytes.capacity(), Payload::kWireBytes);
+  return after.allocs - before.allocs;
+}
+
+TEST(MemstatsBudget, EachPayloadSerializeAllocatesOnce) {
+  Memstats::set_enabled(true);
+  sim::BeaconReplyPayload reply;
+  reply.nonce = 42;
+  reply.claimed_position = {12.5, 99.0};
+  reply.fake_wormhole_indication = true;
+  EXPECT_EQ(serialize_allocs(sim::BeaconRequestPayload{7}), 1u);
+  EXPECT_EQ(serialize_allocs(reply), 1u);
+  EXPECT_EQ(serialize_allocs(sim::AlertPayload{3, 4}), 1u);
+  EXPECT_EQ(serialize_allocs(sim::RevocationPayload{5}), 1u);
+  Memstats::set_enabled(false);
+}
+
+/// Answers every request with a prebuilt reply (so the handler itself
+/// allocates nothing) and counts the replies it receives.
+class EchoNode final : public sim::Node {
+ public:
+  using Node::Node;
+  void on_message(const sim::Delivery& d) override {
+    if (d.msg.type == sim::MsgType::kBeaconRequest) {
+      reply.src = id();
+      reply.dst = d.msg.src;
+      channel().unicast(*this, reply);
+    } else {
+      ++replies;
+    }
+  }
+  sim::Message reply;
+  std::uint64_t replies = 0;
+};
+
+TEST(MemstatsBudget, WarmChannelRoundTripAllocatesNothing) {
+  sim::Network net(sim::ChannelConfig{}, 5);
+  auto& a = net.emplace_node<EchoNode>(1, util::Vec2{0, 0}, 150.0);
+  auto& b = net.emplace_node<EchoNode>(2, util::Vec2{90, 0}, 150.0);
+  b.reply.type = sim::MsgType::kBeaconReply;
+  b.reply.payload = sim::BeaconReplyPayload{}.serialize();
+  sim::Message request;
+  request.src = 1;
+  request.dst = 2;
+  request.type = sim::MsgType::kBeaconRequest;
+  request.payload = sim::BeaconRequestPayload{}.serialize();
+  const auto round = [&]() {
+    net.channel().unicast(a, request);
+    net.run();
+  };
+
+  Memstats::set_enabled(true);
+  for (int i = 0; i < 4; ++i) round();  // warm-up: radio stats, slots
+  const MemScopeStats ch0 = Memstats::thread_totals_for("channel");
+  const MemScopeStats sched0 = Memstats::thread_totals_for("scheduler");
+  for (int i = 0; i < 16; ++i) round();
+  const MemScopeStats ch1 = Memstats::thread_totals_for("channel");
+  const MemScopeStats sched1 = Memstats::thread_totals_for("scheduler");
+  Memstats::set_enabled(false);
+
+  EXPECT_EQ(a.replies, 20u);
+  EXPECT_EQ(ch1.allocs - ch0.allocs, 0u);
+  EXPECT_EQ(sched1.allocs - sched0.allocs, 0u);
 }
 
 // --- roll-up merge ---------------------------------------------------------

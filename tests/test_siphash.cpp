@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <cstring>
+#include <span>
 #include <vector>
 
 namespace sld::crypto {
@@ -61,6 +62,29 @@ TEST(SipHash, LengthMattersEvenWithZeroPadding) {
   const std::vector<std::uint8_t> a{0, 0, 0};
   const std::vector<std::uint8_t> b{0, 0, 0, 0};
   EXPECT_NE(siphash24(key, a), siphash24(key, b));
+}
+
+TEST(SipHasher, AnySplitMatchesOneShot) {
+  // Feeding a message in pieces, at every pair of cut points, must give the
+  // one-shot tag: partial blocks carry over between update() calls.
+  const Key128 key = reference_key();
+  std::vector<std::uint8_t> msg(40);
+  for (std::size_t i = 0; i < msg.size(); ++i)
+    msg[i] = static_cast<std::uint8_t>(i * 31 + 7);
+  const std::span<const std::uint8_t> all(msg);
+  for (std::size_t len = 0; len <= msg.size(); ++len) {
+    const auto m = all.first(len);
+    const std::uint64_t want = siphash24(key, m);
+    for (std::size_t a = 0; a <= len; ++a) {
+      for (std::size_t b = a; b <= len; ++b) {
+        SipHasher h(key);
+        h.update(m.subspan(0, a)).update(m.subspan(a, b - a));
+        h.update(m.subspan(b));
+        ASSERT_EQ(h.finish(), want) << "len " << len << " cuts " << a << ","
+                                    << b;
+      }
+    }
+  }
 }
 
 TEST(SipHashU64, MatchesByteEncoding) {
