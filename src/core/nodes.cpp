@@ -1,6 +1,7 @@
 #include "core/nodes.hpp"
 
 #include <algorithm>
+#include <cmath>
 #include <stdexcept>
 #include <string>
 #include <utility>
@@ -63,9 +64,25 @@ SystemContext::SystemContext(const SystemConfig& cfg)
       dissemination(cfg.revocation_reach_probability,
                     cfg.seed ^ 0xd15534731a7e0000ULL),
       rng(cfg.seed) {
-  if (cfg.rtt_probe_repeats == 0)
-    throw std::invalid_argument(
-        "SystemConfig: rtt_probe_repeats must be >= 1 (got 0)");
+  // Reject bad values here, naming the field, before they reach a
+  // subsystem that would fail obscurely or run silently on them.
+  const auto reject = [](const std::string& field, const std::string& rule,
+                         const std::string& got) {
+    throw std::invalid_argument("SystemConfig: " + field + " must be " +
+                                rule + " (got " + got + ")");
+  };
+  if (cfg.rtt_probe_repeats == 0) reject("rtt_probe_repeats", ">= 1", "0");
+  if (cfg.detecting_ids == 0) reject("detecting_ids", ">= 1", "0");
+  const double range = cfg.deployment.comm_range_ft;
+  if (!(range > 0.0 && std::isfinite(range)))
+    reject("deployment.comm_range_ft", "finite and > 0",
+           std::to_string(range));
+  const double loss = cfg.alert_loss_probability;
+  if (!(loss >= 0.0 && loss <= 1.0))
+    reject("alert_loss_probability", "in [0, 1]", std::to_string(loss));
+  if (!std::isfinite(cfg.rssi.max_error_ft))
+    reject("rssi.max_error_ft", "finite",
+           std::to_string(cfg.rssi.max_error_ft));
   // Calibrate the RTT filter exactly the way the paper does: measure the
   // no-attack distribution and take x_max as the acceptance threshold.
   {

@@ -58,22 +58,10 @@ void Channel::add_wormhole(WormholeLink link) {
   wormholes_.push_back(link);
 }
 
-void Channel::add_observer(RadioObserver* observer) {
-  if (observer == nullptr)
-    throw std::invalid_argument("Channel::add_observer: null");
-  observers_.push_back(observer);
-}
-
 SimTime Channel::packet_airtime_ns(std::size_t payload_bytes) const {
   const double bits = static_cast<double>(
                           (payload_bytes + config_.frame_overhead_bytes) * 8);
   return static_cast<SimTime>(bits / kRadioBitsPerSecond * 1e9);
-}
-
-double Channel::packet_airtime_cycles(std::size_t payload_bytes) const {
-  const double bits = static_cast<double>(
-                          (payload_bytes + config_.frame_overhead_bytes) * 8);
-  return bits * kCyclesPerBit;
 }
 
 bool Channel::direct_reach(const util::Vec2& from_pos, double from_range,
@@ -154,12 +142,6 @@ NodeRadioStats Channel::total_radio() const {
   return total;
 }
 
-void Channel::inject(const TxContext& ctx, const Message& msg) {
-  if (ctx.radiating_range <= 0.0)
-    throw std::invalid_argument("Channel::inject: bad radiating range");
-  transmit(ctx, msg);
-}
-
 void Channel::transmit(const TxContext& ctx, const Message& msg) {
   SLD_PROF_SCOPE("channel.transmit");
   SLD_MEM_SCOPE("channel");
@@ -176,26 +158,6 @@ void Channel::transmit(const TxContext& ctx, const Message& msg) {
       hot_->scan_fanout->observe(static_cast<double>(scanned));
   };
 
-  // Eavesdroppers / jammers hear everything radiating within range.
-  bool suppressed = false;
-  for (auto* obs : observers_) {
-    const double d2 =
-        util::distance_squared(ctx.radiating_position, obs->observer_position());
-    ++scanned;
-    if (d2 <= ctx.radiating_range * ctx.radiating_range) {
-      suppressed = obs->on_overhear(msg, ctx) || suppressed;
-    }
-  }
-  if (suppressed) {
-    ++stats_.suppressed;
-    note_scan();
-    if (trace_.on())
-      trace_.emit(trace_.event("pkt.suppressed")
-                      .f("src", msg.src)
-                      .f("dst", msg.dst));
-    return;
-  }
-
   Node* dst = find(msg.dst);
 
   // Direct path.
@@ -211,9 +173,9 @@ void Channel::transmit(const TxContext& ctx, const Message& msg) {
   }
 
   // Wormhole paths: any tunnel mouth within the radiating range picks the
-  // signal up and re-radiates it at the opposite mouth. A copy that already
-  // crossed a tunnel is not tunnelled again (no cascading).
-  if (ctx.via_wormhole || dst == nullptr) {
+  // signal up and re-radiates it at the opposite mouth. A tunnelled copy
+  // goes straight to deliver(), so it never crosses a second tunnel.
+  if (dst == nullptr) {
     note_scan();
     return;
   }
@@ -234,7 +196,6 @@ void Channel::transmit(const TxContext& ctx, const Message& msg) {
       tunneled.extra_delay_cycles =
           ctx.extra_delay_cycles + w.extra_delay_cycles;
       tunneled.via_wormhole = true;
-      tunneled.is_replay = true;
       if (direct_reach(hop.out, w.exit_range_ft, *dst)) {
         deliver(*dst, tunneled, msg);
       }

@@ -1,5 +1,5 @@
 // The radio channel: range-limited unicast with transmission + propagation
-// delay, optional loss, wormhole tunnels, and eavesdropping hooks.
+// delay, optional loss, and wormhole tunnels.
 //
 // Wormholes are modelled at the channel level, matching the paper's §4
 // setup ("a wormhole ... which forwards every message received at one side
@@ -25,20 +25,6 @@
 #include "util/rng.hpp"
 
 namespace sld::sim {
-
-/// Devices (typically attackers) that can hear transmissions near them.
-class RadioObserver {
- public:
-  virtual ~RadioObserver() = default;
-
-  /// Called for every transmission radiating within range of the observer.
-  /// Returning true suppresses delivery to the intended receiver (models
-  /// shield-and-replay / jamming); returning false leaves it untouched.
-  virtual bool on_overhear(const Message& msg, const TxContext& ctx) = 0;
-
-  /// Where the observer's radio hardware sits.
-  virtual util::Vec2 observer_position() const = 0;
-};
 
 /// A wormhole tunnel between two field positions.
 struct WormholeLink {
@@ -82,7 +68,6 @@ struct ChannelStats {
   std::uint64_t deliveries = 0;
   std::uint64_t wormhole_deliveries = 0;
   std::uint64_t losses = 0;
-  std::uint64_t suppressed = 0;
   std::uint64_t out_of_range = 0;
   // Fault-injection outcomes (all zero when ChannelConfig::faults is off).
   std::uint64_t dropped_by_fault = 0;
@@ -129,17 +114,11 @@ class Channel {
   void add_wormhole(WormholeLink link);
   const std::vector<WormholeLink>& wormholes() const { return wormholes_; }
 
-  void add_observer(RadioObserver* observer);
-
   /// Sends `msg` from `sender` using the sender's true position/range.
   /// The message is delivered directly if the destination is in range and
   /// additionally through every wormhole whose mouths connect them. Each
   /// delivery gets its own copy, so `msg` need not outlive the call.
   void unicast(const Node& sender, const Message& msg);
-
-  /// Injects a transmission with an arbitrary physical context — used by
-  /// attacker devices replaying captured packets.
-  void inject(const TxContext& ctx, const Message& msg);
 
   /// True if `to` can hear a transmission radiating from `from_pos` with
   /// range `from_range` directly (no wormhole).
@@ -166,8 +145,8 @@ class Channel {
 
   /// Installs the event tracer (off by default). Emits one record per
   /// packet fate: pkt.send / pkt.deliver / pkt.loss / pkt.out_of_range /
-  /// pkt.suppressed / pkt.fault_drop / pkt.duplicate / pkt.corrupt /
-  /// pkt.crash_tx / pkt.crash_rx / pkt.partition_drop.
+  /// pkt.fault_drop / pkt.duplicate / pkt.corrupt / pkt.crash_tx /
+  /// pkt.crash_rx / pkt.partition_drop.
   void set_tracer(obs::Tracer tracer) { trace_ = std::move(tracer); }
 
   /// The installed tracer (off by default). Nodes and the Network borrow
@@ -180,10 +159,6 @@ class Channel {
 
   /// Air time of a `payload_bytes`-byte packet, in nanoseconds.
   SimTime packet_airtime_ns(std::size_t payload_bytes) const;
-
-  /// Air time of a `payload_bytes`-byte packet, in CPU cycles (the unit
-  /// replay-delay reasoning uses).
-  double packet_airtime_cycles(std::size_t payload_bytes) const;
 
   /// Optional hot-path micro-counter sink (scan fan-out, packet lifetime;
   /// see sim/hotstats.hpp). Not owned; nullptr turns recording back off.
@@ -205,7 +180,6 @@ class Channel {
   FaultInjector faults_;
   std::unordered_map<NodeId, Node*> nodes_;
   std::vector<WormholeLink> wormholes_;
-  std::vector<RadioObserver*> observers_;
   ChannelStats stats_;
 
   /// In-flight slots: a scheduled delivery is copied once into a slot and

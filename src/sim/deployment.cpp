@@ -50,7 +50,7 @@ void validate_config(const DeploymentConfig& config) {
         "deployment: more malicious beacons than beacons");
   if (config.field.area() <= 0.0)
     throw std::invalid_argument("deployment: empty field");
-  if (config.comm_range_ft <= 0.0)
+  if (!(config.comm_range_ft > 0.0))
     throw std::invalid_argument("deployment: bad comm range");
 }
 }  // namespace

@@ -38,28 +38,23 @@ struct Message {
   crypto::MacTag mac = 0;
 };
 
-/// Physical context of one transmission, filled in by the channel (or by an
-/// attacker device doing the transmitting).
+/// Physical context of one transmission, filled in by the channel.
 struct TxContext {
   /// Where the radio energy actually radiated from. For a genuine sender
-  /// this is its position; for a wormhole exit or replay device it is the
-  /// replayer's position. RSSI ranging measures distance to this point.
+  /// this is its position; for a wormhole copy it is the exit mouth. RSSI
+  /// ranging measures distance to this point.
   util::Vec2 radiating_position;
 
   /// Transmission range of the radiating device, in feet.
   double radiating_range = 0.0;
 
-  /// Extra delay accumulated by replays/wormholes, in CPU cycles; the RTT
+  /// Extra delay accumulated in wormhole tunnels, in CPU cycles; the RTT
   /// filter sees this on top of the honest round-trip time.
   double extra_delay_cycles = 0.0;
 
   /// Ground truth: did this copy cross a wormhole tunnel? (Wormhole
   /// detectors are modelled as catching this with probability p_d.)
   bool via_wormhole = false;
-
-  /// Ground truth: is this copy a replay by an attacker device (locally or
-  /// through a wormhole) rather than the original transmission?
-  bool is_replay = false;
 };
 
 /// A message as it arrives at a receiver.

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <limits>
 #include <set>
 
 namespace sld::sim {
@@ -99,6 +100,8 @@ TEST(Deployment, ValidationRejectsBadConfigs) {
 
   c = paper_config();
   c.comm_range_ft = 0.0;
+  EXPECT_THROW(deploy_random(c, rng), std::invalid_argument);
+  c.comm_range_ft = std::numeric_limits<double>::quiet_NaN();
   EXPECT_THROW(deploy_random(c, rng), std::invalid_argument);
 
   c = paper_config();

@@ -4,8 +4,11 @@
 // fault-free trial exactly.
 #include <gtest/gtest.h>
 
+#include <functional>
+#include <limits>
 #include <stdexcept>
 #include <string>
+#include <vector>
 
 #include "core/experiment.hpp"
 #include "core/secure_localization.hpp"
@@ -153,18 +156,44 @@ TEST(FaultTolerance, MedianOfKProbingMatchesSingleShotWhenClean) {
   EXPECT_EQ(sa.benign_revoked, sb.benign_revoked);
 }
 
-TEST(FaultTolerance, ZeroProbeRepeatsRejectedAtConstruction) {
-  // k = 0 used to be clamped to 1 on every probe reply; it now fails once,
-  // when the system is built, naming the field.
-  SystemConfig c = small_config();
-  c.rtt_probe_repeats = 0;
-  try {
-    SecureLocalizationSystem sys(c);
-    FAIL() << "rtt_probe_repeats = 0 was accepted";
-  } catch (const std::invalid_argument& e) {
-    EXPECT_NE(std::string(e.what()).find("rtt_probe_repeats"),
-              std::string::npos)
-        << e.what();
+TEST(FaultTolerance, BadConfigRejectedAtConstruction) {
+  // Each bad value fails once, when the system is built, naming the field.
+  // Unchecked, they were clamped (k = 0), ran silently (loss 1.5, no
+  // detecting IDs, infinite range, NaN error bound) or died inside the
+  // observability layer (NaN range).
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  struct Case {
+    const char* field;
+    std::function<void(SystemConfig&)> corrupt;
+  };
+  const std::vector<Case> cases = {
+      {"rtt_probe_repeats", [](SystemConfig& c) { c.rtt_probe_repeats = 0; }},
+      {"deployment.comm_range_ft",
+       [&](SystemConfig& c) { c.deployment.comm_range_ft = nan; }},
+      {"deployment.comm_range_ft",
+       [&](SystemConfig& c) { c.deployment.comm_range_ft = inf; }},
+      {"alert_loss_probability",
+       [](SystemConfig& c) { c.alert_loss_probability = 1.5; }},
+      {"alert_loss_probability",
+       [](SystemConfig& c) { c.alert_loss_probability = -0.1; }},
+      {"alert_loss_probability",
+       [&](SystemConfig& c) { c.alert_loss_probability = nan; }},
+      {"detecting_ids", [](SystemConfig& c) { c.detecting_ids = 0; }},
+      {"rssi.max_error_ft",
+       [&](SystemConfig& c) { c.rssi.max_error_ft = nan; }},
+  };
+  for (std::size_t i = 0; i < cases.size(); ++i) {
+    SCOPED_TRACE(testing::Message() << "case " << i << ": " << cases[i].field);
+    SystemConfig c = small_config();
+    cases[i].corrupt(c);
+    try {
+      SecureLocalizationSystem sys(c);
+      ADD_FAILURE() << "bad " << cases[i].field << " was accepted";
+    } catch (const std::invalid_argument& e) {
+      EXPECT_NE(std::string(e.what()).find(cases[i].field), std::string::npos)
+          << e.what();
+    }
   }
 }
 

@@ -2,7 +2,6 @@
 
 #include <cmath>
 
-#include "detection/angle_check.hpp"
 #include "ranging/aoa.hpp"
 #include "ranging/toa.hpp"
 #include "util/rng.hpp"
@@ -85,66 +84,6 @@ TEST(Aoa, ConfigValidation) {
   EXPECT_THROW(ranging::AoaModel{bad}, std::invalid_argument);
   bad.max_error_rad = 4.0;
   EXPECT_THROW(ranging::AoaModel{bad}, std::invalid_argument);
-}
-
-// --- AoA consistency check (the paper's detector, angle flavour) ------
-
-TEST(AngleCheck, HonestBearingsNeverFlagged) {
-  detection::AngleConsistencyCheck check(0.05);
-  ranging::AoaModel aoa;
-  util::Rng rng(5);
-  for (int i = 0; i < 10000; ++i) {
-    const util::Vec2 det{500, 500};
-    const util::Vec2 beacon{det.x + rng.uniform(-150, 150),
-                            det.y + rng.uniform(-150, 150)};
-    if (util::distance(det, beacon) < 10.0) continue;
-    const double measured = aoa.measure_bearing(det, beacon, rng);
-    EXPECT_FALSE(check.is_malicious(det, beacon, measured));
-  }
-}
-
-TEST(AngleCheck, PerpendicularLieCaught) {
-  detection::AngleConsistencyCheck check(0.05);
-  ranging::AoaModel aoa;
-  util::Rng rng(6);
-  const util::Vec2 det{0, 0};
-  const util::Vec2 true_pos{100, 0};
-  const util::Vec2 claimed{100, 60};  // ~31 degrees off the true bearing
-  for (int i = 0; i < 1000; ++i) {
-    const double measured = aoa.measure_bearing(det, true_pos, rng);
-    EXPECT_TRUE(check.is_malicious(det, claimed, measured));
-  }
-}
-
-TEST(AngleCheck, RadialLieInvisibleToAngleAlone) {
-  // A lie along the same bearing keeps the angle consistent — the reason
-  // AoA-based detection complements rather than replaces range checks.
-  detection::AngleConsistencyCheck check(0.05);
-  ranging::AoaModel aoa;
-  util::Rng rng(7);
-  const util::Vec2 det{0, 0};
-  const util::Vec2 true_pos{100, 0};
-  const util::Vec2 claimed{200, 0};  // same bearing, double the distance
-  int flagged = 0;
-  for (int i = 0; i < 1000; ++i) {
-    if (check.is_malicious(det, claimed,
-                           aoa.measure_bearing(det, true_pos, rng)))
-      ++flagged;
-  }
-  EXPECT_EQ(flagged, 0);
-}
-
-TEST(AngleCheck, PointBlankClaimsNotFlagged) {
-  detection::AngleConsistencyCheck check(0.05, 10.0);
-  // A claim 2 ft away: bearings are meaningless, must not flag.
-  EXPECT_FALSE(check.is_malicious({0, 0}, {2, 0}, M_PI));
-}
-
-TEST(AngleCheck, Validation) {
-  EXPECT_THROW(detection::AngleConsistencyCheck(-0.1), std::invalid_argument);
-  EXPECT_THROW(detection::AngleConsistencyCheck(4.0), std::invalid_argument);
-  EXPECT_THROW(detection::AngleConsistencyCheck(0.05, -1.0),
-               std::invalid_argument);
 }
 
 }  // namespace

@@ -27,7 +27,6 @@ SCHEMA = {
     "pkt.deliver": ["src", "dst", "type", "wormhole", "delay_ns"],
     "pkt.loss": ["src", "dst"],
     "pkt.out_of_range": ["src", "dst"],
-    "pkt.suppressed": ["src", "dst"],
     "pkt.fault_drop": ["src", "dst"],
     "pkt.duplicate": ["src", "dst"],
     "pkt.corrupt": ["src", "dst"],
