@@ -137,23 +137,27 @@ void SecureLocalizationSystem::build_nodes() {
 
   // Connectivity-driven target lists: detecting beacons probe every beacon
   // they can reach (directly or through a wormhole — the wormhole is how
-  // they would have heard of it); sensors query the same set.
-  for (auto* beacon : benign_nodes_) {
+  // they would have heard of it); sensors query the same set. Each node is
+  // queried once: the finalize deadline and the summary read the list
+  // sizes recorded here.
+  const auto beacon_targets = [this](const sim::Node& node) {
+    const auto connected = network_.connected_nodes(node.id());
+    if (!node.is_beacon())
+      max_sensor_connected_ =
+          std::max(max_sensor_connected_, connected.size());
     std::vector<sim::NodeId> targets;
-    for (const auto id : network_.connected_nodes(beacon->id())) {
+    for (const auto id : connected) {
       const sim::Node* other = network_.node(id);
       if (other != nullptr && other->is_beacon()) targets.push_back(id);
     }
-    beacon->set_probe_targets(std::move(targets));
-  }
-  for (auto* sensor : sensor_nodes_) {
-    std::vector<sim::NodeId> targets;
-    for (const auto id : network_.connected_nodes(sensor->id())) {
-      const sim::Node* other = network_.node(id);
-      if (other != nullptr && other->is_beacon()) targets.push_back(id);
-    }
-    sensor->set_query_targets(std::move(targets));
-  }
+    return targets;
+  };
+  for (auto* beacon : benign_nodes_)
+    beacon->set_probe_targets(beacon_targets(*beacon));
+  for (auto* sensor : sensor_nodes_)
+    sensor->set_query_targets(beacon_targets(*sensor));
+  for (const auto* m : malicious_nodes_)
+    malicious_connected_ += network_.connected_nodes(m->id()).size();
 }
 
 void SecureLocalizationSystem::schedule_collusion() {
@@ -426,13 +430,9 @@ void SecureLocalizationSystem::schedule_failover() {
 }
 
 void SecureLocalizationSystem::schedule_finalize() {
-  std::size_t max_targets = 0;
-  for (const auto* s : sensor_nodes_)
-    max_targets = std::max(
-        max_targets, network_.connected_nodes(s->id()).size());
   const sim::SimTime finalize_at =
       config_.sensor_phase_start +
-      static_cast<sim::SimTime>(max_targets + 2) *
+      static_cast<sim::SimTime>(max_sensor_connected_ + 2) *
           config_.transmission_stagger +
       sim::kSecond;
   // Pump the ingestion pipeline right before the sensors finalize (the
@@ -534,10 +534,7 @@ TrialSummary SecureLocalizationSystem::summarize() const {
   s.sensors = sensor_nodes_.size();
 
   const sim::SimTime end_time = network_.scheduler().now();
-  double requester_sum = 0.0;
   for (const auto* m : malicious_nodes_) {
-    requester_sum +=
-        static_cast<double>(network_.connected_nodes(m->id()).size());
     if (ctx_->bs().is_revoked(m->id()))
       ++s.malicious_revoked;
     else if (ctx_->bs().is_quarantined(m->id(), end_time))
@@ -546,7 +543,8 @@ TrialSummary SecureLocalizationSystem::summarize() const {
   s.avg_requesters_per_malicious =
       malicious_nodes_.empty()
           ? 0.0
-          : requester_sum / static_cast<double>(malicious_nodes_.size());
+          : static_cast<double>(malicious_connected_) /
+                static_cast<double>(malicious_nodes_.size());
   for (const auto* b : benign_nodes_) {
     if (ctx_->bs().is_revoked(b->id()))
       ++s.benign_revoked;

@@ -185,6 +185,10 @@ class SecureLocalizationSystem {
   std::vector<BeaconNode*> benign_nodes_;
   std::vector<MaliciousBeaconNode*> malicious_nodes_;
   std::vector<SensorNode*> sensor_nodes_;
+  /// Largest connected_nodes() list of any sensor (sets the finalize time).
+  std::size_t max_sensor_connected_ = 0;
+  /// connected_nodes() list sizes summed over the malicious beacons.
+  std::size_t malicious_connected_ = 0;
   crypto::DetectingIdRegistry detecting_registry_;
   TelemetryMirror tel_;
   std::vector<MemMirror> mem_;

@@ -1,5 +1,6 @@
 #include "sim/channel.hpp"
 
+#include <cmath>
 #include <stdexcept>
 #include <utility>
 
@@ -53,8 +54,13 @@ void Channel::add_alias(NodeId alias, Node* node) {
 }
 
 void Channel::add_wormhole(WormholeLink link) {
-  if (link.exit_range_ft <= 0.0)
-    throw std::invalid_argument("Channel::add_wormhole: bad exit range");
+  if (!(link.exit_range_ft > 0.0) || !std::isfinite(link.exit_range_ft))
+    throw std::invalid_argument(
+        "Channel::add_wormhole: exit_range_ft must be finite and positive");
+  if (!std::isfinite(link.mouth_a.x) || !std::isfinite(link.mouth_a.y) ||
+      !std::isfinite(link.mouth_b.x) || !std::isfinite(link.mouth_b.y))
+    throw std::invalid_argument(
+        "Channel::add_wormhole: mouth_a and mouth_b must be finite");
   wormholes_.push_back(link);
 }
 
@@ -64,29 +70,16 @@ SimTime Channel::packet_airtime_ns(std::size_t payload_bytes) const {
   return static_cast<SimTime>(bits / kRadioBitsPerSecond * 1e9);
 }
 
-bool Channel::direct_reach(const util::Vec2& from_pos, double from_range,
-                           const Node& to) const {
-  return util::distance_squared(from_pos, to.position()) <=
-         from_range * from_range;
-}
-
-bool Channel::connected(const Node& a, const Node& b) const {
-  if (direct_reach(a.position(), a.range(), b)) return true;
-  for (const auto& w : wormholes_) {
-    const bool a_to_mouth_a =
-        util::distance_squared(a.position(), w.mouth_a) <=
-        a.range() * a.range();
-    const bool b_hears_mouth_b =
-        util::distance_squared(w.mouth_b, b.position()) <=
-        w.exit_range_ft * w.exit_range_ft;
-    if (a_to_mouth_a && b_hears_mouth_b) return true;
-    const bool a_to_mouth_b =
-        util::distance_squared(a.position(), w.mouth_b) <=
-        a.range() * a.range();
-    const bool b_hears_mouth_a =
-        util::distance_squared(w.mouth_a, b.position()) <=
-        w.exit_range_ft * w.exit_range_ft;
-    if (a_to_mouth_b && b_hears_mouth_a) return true;
+bool connected(const util::Vec2& a, double a_range, const util::Vec2& b,
+               const std::vector<WormholeLink>& wormholes) {
+  if (reaches(a, a_range, b)) return true;
+  for (const auto& w : wormholes) {
+    if (reaches(a, a_range, w.mouth_a) &&
+        reaches(w.mouth_b, w.exit_range_ft, b))
+      return true;
+    if (reaches(a, a_range, w.mouth_b) &&
+        reaches(w.mouth_a, w.exit_range_ft, b))
+      return true;
   }
   return false;
 }
@@ -162,7 +155,7 @@ void Channel::transmit(const TxContext& ctx, const Message& msg) {
 
   // Direct path.
   if (dst != nullptr &&
-      direct_reach(ctx.radiating_position, ctx.radiating_range, *dst)) {
+      reaches(ctx.radiating_position, ctx.radiating_range, dst->position())) {
     deliver(*dst, ctx, msg);
   } else if (dst != nullptr) {
     ++stats_.out_of_range;
@@ -186,17 +179,16 @@ void Channel::transmit(const TxContext& ctx, const Message& msg) {
     };
     const Hop hops[2] = {{w.mouth_a, w.mouth_b}, {w.mouth_b, w.mouth_a}};
     for (const auto& hop : hops) {
-      const double d2_in =
-          util::distance_squared(ctx.radiating_position, hop.in);
       ++scanned;
-      if (d2_in > ctx.radiating_range * ctx.radiating_range) continue;
+      if (!reaches(ctx.radiating_position, ctx.radiating_range, hop.in))
+        continue;
       TxContext tunneled;
       tunneled.radiating_position = hop.out;
       tunneled.radiating_range = w.exit_range_ft;
       tunneled.extra_delay_cycles =
           ctx.extra_delay_cycles + w.extra_delay_cycles;
       tunneled.via_wormhole = true;
-      if (direct_reach(hop.out, w.exit_range_ft, *dst)) {
+      if (reaches(hop.out, w.exit_range_ft, dst->position())) {
         deliver(*dst, tunneled, msg);
       }
     }

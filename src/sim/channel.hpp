@@ -37,6 +37,20 @@ struct WormholeLink {
   double extra_delay_cycles = 0.0;
 };
 
+/// The reach test every topology question reduces to: a transmission
+/// radiating from `from` with range `range` is heard at `to`.
+inline bool reaches(const util::Vec2& from, double range,
+                    const util::Vec2& to) {
+  return util::distance_squared(from, to) <= range * range;
+}
+
+/// True if a node at `a` with range `a_range` reaches position `b` directly
+/// or through one of `wormholes`: `a` reaches one mouth and `b` is within
+/// the tunnel's exit range of the other. Channel::connected and
+/// Network::connected_nodes both answer with this predicate.
+bool connected(const util::Vec2& a, double a_range, const util::Vec2& b,
+               const std::vector<WormholeLink>& wormholes);
+
 struct ChannelConfig {
   /// Per-delivery loss probability (paper assumes reliable delivery via
   /// retransmission, so default 0). Kept separate from `faults` for
@@ -120,13 +134,10 @@ class Channel {
   /// delivery gets its own copy, so `msg` need not outlive the call.
   void unicast(const Node& sender, const Message& msg);
 
-  /// True if `to` can hear a transmission radiating from `from_pos` with
-  /// range `from_range` directly (no wormhole).
-  bool direct_reach(const util::Vec2& from_pos, double from_range,
-                    const Node& to) const;
-
   /// True if a transmission from `a` reaches `b` directly or via a tunnel.
-  bool connected(const Node& a, const Node& b) const;
+  bool connected(const Node& a, const Node& b) const {
+    return sim::connected(a.position(), a.range(), b.position(), wormholes_);
+  }
 
   Node* find(NodeId id) const;
 

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
 #include <vector>
 
 #include "sim/network.hpp"
@@ -166,6 +167,30 @@ TEST_F(ChannelTest, ConnectedCombinesDirectAndWormhole) {
   link.exit_range_ft = 150.0;
   net.channel().add_wormhole(link);
   EXPECT_TRUE(net.channel().connected(a, b));
+}
+
+TEST_F(ChannelTest, AddWormholeRejectsNonFiniteLinks) {
+  constexpr double kNaN = std::numeric_limits<double>::quiet_NaN();
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  const auto link = [](util::Vec2 a, util::Vec2 b, double exit_range) {
+    WormholeLink w;
+    w.mouth_a = a;
+    w.mouth_b = b;
+    w.exit_range_ft = exit_range;
+    return w;
+  };
+  auto& ch = net.channel();
+  EXPECT_THROW(ch.add_wormhole(link({0, 0}, {1, 1}, 0.0)),
+               std::invalid_argument);
+  EXPECT_THROW(ch.add_wormhole(link({0, 0}, {1, 1}, kNaN)),
+               std::invalid_argument);
+  EXPECT_THROW(ch.add_wormhole(link({0, 0}, {1, 1}, kInf)),
+               std::invalid_argument);
+  EXPECT_THROW(ch.add_wormhole(link({kNaN, 0}, {1, 1}, 10.0)),
+               std::invalid_argument);
+  EXPECT_THROW(ch.add_wormhole(link({0, 0}, {1, -kInf}, 10.0)),
+               std::invalid_argument);
+  EXPECT_TRUE(ch.wormholes().empty());
 }
 
 TEST_F(ChannelTest, PacketAirtimeScalesWithSize) {
