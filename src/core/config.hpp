@@ -77,8 +77,10 @@ struct SystemConfig {
 
   /// Alert-storm attack: on top of the collusion plan, each colluder
   /// floods this many extra forged alerts at Zipf-skewed benign targets
-  /// during the probe phase. 0 (the default) schedules nothing. Only
-  /// meaningful with `collusion` on — the flood reuses the colluder set.
+  /// during the probe phase. 0 (the default) schedules nothing. The flood
+  /// reuses the colluder set, so a nonzero count requires `collusion`;
+  /// the system rejects it otherwise, as it does a non-positive window or
+  /// a non-finite or non-positive exponent.
   struct AlertStormConfig {
     std::size_t flood_alerts_per_colluder = 0;
     /// Zipf exponent of the target-popularity skew (1 = classic Zipf;

@@ -83,6 +83,14 @@ SystemContext::SystemContext(const SystemConfig& cfg)
   if (!std::isfinite(cfg.rssi.max_error_ft))
     reject("rssi.max_error_ft", "finite",
            std::to_string(cfg.rssi.max_error_ft));
+  if (cfg.storm.duration_ns <= 0)
+    reject("storm.duration_ns", "> 0", std::to_string(cfg.storm.duration_ns));
+  const double zipf = cfg.storm.zipf_exponent;
+  if (!(zipf > 0.0 && std::isfinite(zipf)))
+    reject("storm.zipf_exponent", "finite and > 0", std::to_string(zipf));
+  if (cfg.storm.flood_alerts_per_colluder > 0 && !cfg.collusion)
+    reject("storm.flood_alerts_per_colluder", "0 unless collusion is on",
+           std::to_string(cfg.storm.flood_alerts_per_colluder));
   // Calibrate the RTT filter exactly the way the paper does: measure the
   // no-attack distribution and take x_max as the acceptance threshold.
   {

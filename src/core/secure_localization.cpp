@@ -182,27 +182,35 @@ void SecureLocalizationSystem::schedule_collusion() {
   // Alert-storm flood: on top of the quota-exact plan above, each colluder
   // fires extra forged alerts at Zipf-skewed benign victims spread across
   // the storm window. Fresh nonces per submission keep the flood from
-  // collapsing into duplicates at the base station.
+  // collapsing into duplicates at the base station. The whole plan is
+  // known now, so it rides one sorted lane rather than the event heap.
   if (config_.storm.flood_alerts_per_colluder == 0 || benign_targets.empty())
     return;
   util::Rng storm_rng = ctx_->rng.fork(0x57024);
   const util::ZipfSampler zipf(benign_targets.size(),
                                config_.storm.zipf_exponent);
-  const auto window = static_cast<std::uint64_t>(
-      std::max<sim::SimTime>(config_.storm.duration_ns, 1));
+  const auto window = static_cast<std::uint64_t>(config_.storm.duration_ns);
+  const std::size_t total =
+      colluders.size() * config_.storm.flood_alerts_per_colluder;
+  std::vector<sim::SimTime> times;
+  std::vector<std::pair<sim::NodeId, sim::NodeId>> flood;  // (colluder, victim)
+  times.reserve(total);
+  flood.reserve(total);
   for (const auto c : colluders) {
     for (std::size_t i = 0; i < config_.storm.flood_alerts_per_colluder;
          ++i) {
       const sim::NodeId victim =
           benign_targets[zipf.sample(storm_rng.uniform01())];
-      const sim::SimTime at =
-          config_.probe_phase_start +
-          static_cast<sim::SimTime>(storm_rng.uniform_u64(window));
-      network_.scheduler().schedule_at(at, [this, c, victim]() {
-        ctx_->submit_alert(c, victim, /*collusion_alert=*/true);
-      });
+      times.push_back(config_.probe_phase_start +
+                      static_cast<sim::SimTime>(storm_rng.uniform_u64(window)));
+      flood.emplace_back(c, victim);
     }
   }
+  network_.scheduler().schedule_stream(
+      std::move(times), [this, flood = std::move(flood)](std::size_t i) {
+        ctx_->submit_alert(flood[i].first, flood[i].second,
+                           /*collusion_alert=*/true);
+      });
 }
 
 void SecureLocalizationSystem::schedule_framing() {
@@ -219,17 +227,19 @@ void SecureLocalizationSystem::schedule_framing() {
     outages.emplace_back(w.start, w.end);
 
   util::Rng framing_rng = ctx_->rng.fork(0xf4a41);
-  const auto plan = attack::plan_framing(
+  auto plan = attack::plan_framing(
       colluders, benign, config_.framing, config_.revocation.report_quota,
       config_.probe_phase_start, outages, framing_rng);
-  for (const auto& alert : plan.alerts) {
-    const sim::NodeId reporter = alert.reporter;
-    const sim::NodeId target = alert.target;
-    network_.scheduler().schedule_at(alert.at, [this, reporter, target]() {
-      ++ctx_->metrics.framing_alerts_submitted;
-      ctx_->submit_alert(reporter, target, /*collusion_alert=*/true);
-    });
-  }
+  std::vector<sim::SimTime> times;
+  times.reserve(plan.alerts.size());
+  for (const auto& alert : plan.alerts) times.push_back(alert.at);
+  network_.scheduler().schedule_stream(
+      std::move(times),
+      [this, alerts = std::move(plan.alerts)](std::size_t i) {
+        ++ctx_->metrics.framing_alerts_submitted;
+        ctx_->submit_alert(alerts[i].reporter, alerts[i].target,
+                           /*collusion_alert=*/true);
+      });
 }
 
 void SecureLocalizationSystem::setup_telemetry() {
@@ -436,19 +446,19 @@ void SecureLocalizationSystem::schedule_finalize() {
           config_.transmission_stagger +
       sim::kSecond;
   // Pump the ingestion pipeline right before the sensors finalize (the
-  // scheduler is FIFO-stable at equal times), so every queued alert whose
-  // service time has elapsed is committed and disseminated first. Gated:
-  // the default config must schedule no extra event (sched.events is part
-  // of the bench goldens).
+  // scheduler is FIFO-stable at equal times, and the sensors' lane draws
+  // its seqs after this event's), so every queued alert whose service time
+  // has elapsed is committed and disseminated first. Gated: the default
+  // config must schedule no extra event (sched.events is part of the bench
+  // goldens).
   if (ctx_->ingest.enabled()) {
     network_.scheduler().schedule_at(finalize_at, [this, finalize_at]() {
       ctx_->ingest.advance(finalize_at);
     });
   }
-  for (auto* sensor : sensor_nodes_) {
-    network_.scheduler().schedule_at(finalize_at,
-                                     [sensor]() { sensor->finalize(); });
-  }
+  network_.scheduler().schedule_stream(
+      std::vector<sim::SimTime>(sensor_nodes_.size(), finalize_at),
+      [this](std::size_t i) { sensor_nodes_[i]->finalize(); });
 }
 
 TrialSummary SecureLocalizationSystem::run() {

@@ -1,5 +1,8 @@
 #include "sim/event.hpp"
 
+#include <algorithm>
+#include <limits>
+#include <numeric>
 #include <stdexcept>
 #include <utility>
 
@@ -42,12 +45,80 @@ void EventQueue::push(SimTime when, SimTime queued_at,
   }
 }
 
+void EventQueue::push_stream(std::vector<SimTime> times, SimTime queued_at,
+                             std::function<void(std::size_t)> fire) {
+  if (times.empty()) return;
+  if (times.size() > std::numeric_limits<std::uint32_t>::max())
+    throw std::length_error("EventQueue::push_stream: more than 2^32 items");
+  SLD_MEM_SCOPE("scheduler");
+  Lane& lane = lanes_.emplace_back();
+  lane.item.resize(times.size());
+  std::iota(lane.item.begin(), lane.item.end(), std::uint32_t{0});
+  if (std::is_sorted(times.begin(), times.end())) {
+    lane.when = std::move(times);
+  } else {
+    // Stable, so equal times keep index (= seq) order.
+    std::stable_sort(lane.item.begin(), lane.item.end(),
+                     [&times](std::uint32_t a, std::uint32_t b) {
+                       return times[a] < times[b];
+                     });
+    lane.when.reserve(times.size());
+    for (const std::uint32_t i : lane.item) lane.when.push_back(times[i]);
+  }
+  lane.first_seq = next_seq_;
+  next_seq_ += lane.item.size();
+  lane.queued_at = queued_at;
+  lane.fire = std::move(fire);
+  lane_pending_ += lane.item.size();
+  pick_next_lane();
+}
+
+void EventQueue::pick_next_lane() {
+  next_lane_ = kNoLane;
+  for (std::size_t l = 0; l < lanes_.size(); ++l) {
+    const Lane& lane = lanes_[l];
+    if (lane.head == lane.item.size()) continue;  // drained
+    if (next_lane_ == kNoLane ||
+        later(lanes_[next_lane_].head_key(), lane.head_key()))
+      next_lane_ = l;
+  }
+}
+
 SimTime EventQueue::next_time() const {
+  if (lane_pending_ != 0) {
+    const Lane& lane = lanes_[next_lane_];
+    const SimTime head = lane.when[lane.head];
+    return heap_.empty() ? head : std::min(head, heap_.front().when);
+  }
   if (heap_.empty()) throw std::logic_error("EventQueue::next_time: empty");
   return heap_.front().when;
 }
 
+Event EventQueue::pop_lane() {
+  Lane& lane = lanes_[next_lane_];
+  const std::size_t pos = lane.head++;
+  const std::size_t i = lane.item[pos];
+  // Two words, trivially copyable: std::function stores it inline.
+  const std::function<void(std::size_t)>* fire = &lane.fire;
+  Event ev{lane.when[pos], lane.first_seq + i, lane.queued_at,
+           [fire, i]() { (*fire)(i); }};
+  --lane_pending_;
+  if (lane.head == lane.item.size()) {
+    // Drained: free the item arrays, keep the callback for held events.
+    std::vector<SimTime>().swap(lane.when);
+    std::vector<std::uint32_t>().swap(lane.item);
+    lane.head = 0;
+  }
+  pick_next_lane();
+  if (hot_ != nullptr && hot_->event_wait_ns != nullptr)
+    hot_->event_wait_ns->observe(static_cast<double>(ev.when - ev.queued_at));
+  return ev;
+}
+
 Event EventQueue::pop() {
+  if (lane_pending_ != 0 &&
+      (heap_.empty() || later(heap_.front(), lanes_[next_lane_].head_key())))
+    return pop_lane();
   if (heap_.empty()) throw std::logic_error("EventQueue::pop: empty");
   const Key top = heap_.front();
   std::uint64_t steps = 0;
@@ -92,6 +163,9 @@ void EventQueue::clear() {
   heap_.clear();
   slab_.clear();
   free_head_ = kNoSlot;
+  lanes_.clear();
+  lane_pending_ = 0;
+  next_lane_ = kNoLane;
   next_seq_ = 0;
   sift_up_steps_ = 0;
   sift_down_steps_ = 0;

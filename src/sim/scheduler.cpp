@@ -1,6 +1,7 @@
 #include "sim/scheduler.hpp"
 
 #include <stdexcept>
+#include <utility>
 
 #include "check/invariant.hpp"
 #include "obs/profiler.hpp"
@@ -18,6 +19,16 @@ void Scheduler::schedule_after(SimTime delay, std::function<void()> action) {
   if (delay < 0)
     throw std::invalid_argument("Scheduler::schedule_after: negative delay");
   queue_.push(now_ + delay, now_, std::move(action));
+  note_depth();
+}
+
+void Scheduler::schedule_stream(std::vector<SimTime> times,
+                                std::function<void(std::size_t)> fire) {
+  for (const SimTime when : times)
+    if (when < now_)
+      throw std::invalid_argument(
+          "Scheduler::schedule_stream: time in the past");
+  queue_.push_stream(std::move(times), now_, std::move(fire));
   note_depth();
 }
 

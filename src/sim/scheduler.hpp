@@ -1,8 +1,10 @@
 // The simulation clock + run loop.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <functional>
+#include <vector>
 
 #include "sim/event.hpp"
 #include "sim/time.hpp"
@@ -34,6 +36,14 @@ class Scheduler {
   /// Schedules `action` `delay` nanoseconds from now (delay >= 0).
   void schedule_after(SimTime delay, std::function<void()> action);
 
+  /// Schedules a batch planned in advance: item i runs `fire(i)` at
+  /// `times[i]` (each >= now). The items pop exactly as schedule_at once
+  /// per item in index order would pop them, but ride a sorted lane of
+  /// the event queue instead of its heap (see sim/event.hpp). pending()
+  /// counts them until they run.
+  void schedule_stream(std::vector<SimTime> times,
+                       std::function<void(std::size_t)> fire);
+
   /// Runs until the queue is empty or `max_events` have executed.
   /// Returns the number of events executed.
   std::uint64_t run(std::uint64_t max_events = ~0ULL);
@@ -56,11 +66,13 @@ class Scheduler {
   /// recording back off.
   void set_hot_stats(HotStats* hot) { queue_.set_hot_stats(hot); }
 
-  /// Total heap sift steps since construction / reset().
+  /// Total heap sift steps since construction / reset(). Lane items
+  /// never sift.
   std::uint64_t sift_up_steps() const { return queue_.sift_up_steps(); }
   std::uint64_t sift_down_steps() const { return queue_.sift_down_steps(); }
 
-  /// Drops all pending events and resets time and counters to zero.
+  /// Drops all pending events and resets time and counters to zero. Not
+  /// from inside a lane event: its callback is among what this drops.
   void reset();
 
  private:

@@ -158,9 +158,12 @@ TEST(FaultTolerance, MedianOfKProbingMatchesSingleShotWhenClean) {
 
 TEST(FaultTolerance, BadConfigRejectedAtConstruction) {
   // Each bad value fails once, when the system is built, naming the field.
-  // Unchecked, they were clamped (k = 0), ran silently (loss 1.5, no
-  // detecting IDs, infinite range, NaN error bound) or died inside the
-  // observability layer (NaN range).
+  // Unchecked, they were clamped (k = 0, a storm window <= 0), ran silently
+  // (loss 1.5, no detecting IDs, infinite range, NaN error bound, an
+  // infinite Zipf exponent that aims every flood alert at one victim, a
+  // flood without collusion that schedules nothing) or died elsewhere (NaN
+  // range in the observability layer, a Zipf exponent <= 0 inside the
+  // sampler without naming the field).
   const double nan = std::numeric_limits<double>::quiet_NaN();
   const double inf = std::numeric_limits<double>::infinity();
   struct Case {
@@ -182,6 +185,19 @@ TEST(FaultTolerance, BadConfigRejectedAtConstruction) {
       {"detecting_ids", [](SystemConfig& c) { c.detecting_ids = 0; }},
       {"rssi.max_error_ft",
        [&](SystemConfig& c) { c.rssi.max_error_ft = nan; }},
+      {"storm.duration_ns", [](SystemConfig& c) { c.storm.duration_ns = 0; }},
+      {"storm.duration_ns",
+       [](SystemConfig& c) { c.storm.duration_ns = -sim::kSecond; }},
+      {"storm.zipf_exponent",
+       [&](SystemConfig& c) { c.storm.zipf_exponent = inf; }},
+      {"storm.zipf_exponent",
+       [&](SystemConfig& c) { c.storm.zipf_exponent = nan; }},
+      {"storm.zipf_exponent",
+       [](SystemConfig& c) { c.storm.zipf_exponent = 0.0; }},
+      {"storm.zipf_exponent",
+       [](SystemConfig& c) { c.storm.zipf_exponent = -1.0; }},
+      {"storm.flood_alerts_per_colluder",
+       [](SystemConfig& c) { c.storm.flood_alerts_per_colluder = 5; }},
   };
   for (std::size_t i = 0; i < cases.size(); ++i) {
     SCOPED_TRACE(testing::Message() << "case " << i << ": " << cases[i].field);
