@@ -10,7 +10,6 @@
 //   --trace FILE   JSONL event trace of every trial
 //   --metrics FILE per-trial metrics snapshots (benches that support it)
 //   --json FILE    machine-readable BENCH result (bench_runner.hpp)
-//   --profile FILE hierarchical profiler JSON; table goes to stderr
 //   --chaos-sweep  add a chaos column (benches that support it)
 //   --timeseries FILE  timeseries/v1 telemetry stream (supporting benches)
 //   --slo SPEC     SLO rules, inline or @file (supporting benches)
@@ -111,9 +110,6 @@ struct BenchArgs {
   /// Machine-readable bench-result destination ("--json FILE"); empty
   /// means no BENCH_*.json is written.
   std::string json_path;
-  /// Profiler snapshot destination ("--profile FILE"); empty means the
-  /// profiler stays off (zero overhead).
-  std::string profile_path;
   /// Extend the sweep with a chaos configuration (crash windows, a
   /// partition, clock drift, a WAL-backed base-station outage) in benches
   /// that support it ("--chaos-sweep"). Off by default so the standard
@@ -197,8 +193,6 @@ struct BenchArgs {
         args.metrics_path = next_arg("--metrics");
       } else if (a == "--json") {
         args.json_path = next_arg("--json");
-      } else if (a == "--profile") {
-        args.profile_path = next_arg("--profile");
       } else if (a == "--chaos-sweep") {
         args.chaos_sweep = true;
       } else if (a == "--timeseries") {
@@ -217,7 +211,7 @@ struct BenchArgs {
             << " [--trials N] [--seed S] [--fast]"
             << " [--repeats N] [--warmup N]"
             << " [--trace FILE] [--metrics FILE]"
-            << " [--json FILE] [--profile FILE] [--chaos-sweep]\n"
+            << " [--json FILE] [--chaos-sweep]\n"
             << "  --trials N     trials per sweep point (default 5)\n"
             << "  --seed S       base RNG seed (default 1)\n"
             << "  --fast         shrink sweeps for smoke runs\n"
@@ -228,8 +222,6 @@ struct BenchArgs {
             << "  --metrics FILE per-trial metrics snapshots\n"
             << "  --json FILE    machine-readable bench result "
                "(sld-bench-result/v1)\n"
-            << "  --profile FILE profiler JSON snapshot; top-self-time "
-               "table on stderr\n"
             << "  --chaos-sweep  add a chaos configuration to the sweep "
                "(benches that support it)\n"
             << "  --timeseries FILE  timeseries/v1 telemetry JSONL "

@@ -2,13 +2,10 @@
 
 #include <array>
 
-#include "obs/profiler.hpp"
-
 namespace sld::crypto {
 
 MacTag compute_mac(const Key128& key, std::uint32_t src, std::uint32_t dst,
                    std::span<const std::uint8_t> payload) {
-  SLD_PROF_SCOPE("crypto.mac");
   // The tag covers src || dst || len (little-endian u32s) || payload. The
   // header is streamed from the stack, so no buffer is built per packet.
   std::array<std::uint8_t, 12> header{};

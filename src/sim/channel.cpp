@@ -6,7 +6,6 @@
 
 #include "check/invariant.hpp"
 #include "obs/memstats.hpp"
-#include "obs/profiler.hpp"
 #include "util/geometry.hpp"
 
 namespace sld::sim {
@@ -136,7 +135,6 @@ NodeRadioStats Channel::total_radio() const {
 }
 
 void Channel::transmit(const TxContext& ctx, const Message& msg) {
-  SLD_PROF_SCOPE("channel.transmit");
   SLD_MEM_SCOPE("channel");
   ++stats_.transmissions;
 
@@ -197,7 +195,6 @@ void Channel::transmit(const TxContext& ctx, const Message& msg) {
 }
 
 void Channel::deliver(Node& dst, const TxContext& ctx, const Message& msg) {
-  SLD_PROF_SCOPE("channel.deliver");
   ++stats_.delivery_attempts;
   if (rng_.bernoulli(config_.loss_probability)) {
     ++stats_.losses;

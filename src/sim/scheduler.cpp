@@ -4,7 +4,6 @@
 #include <utility>
 
 #include "check/invariant.hpp"
-#include "obs/profiler.hpp"
 
 namespace sld::sim {
 
@@ -40,10 +39,7 @@ std::uint64_t Scheduler::run(std::uint64_t max_events) {
                   "time monotonicity: popped event at " << ev.when
                       << " ns while the clock reads " << now_ << " ns");
     advance_clock(ev.when);
-    {
-      SLD_PROF_SCOPE("sched.event");
-      ev.action();
-    }
+    ev.action();
     ++executed;
     ++executed_;
   }
@@ -61,10 +57,7 @@ std::uint64_t Scheduler::run_until(SimTime until) {
                   "no event after stop: event at " << ev.when
                       << " ns executed past run_until(" << until << ")");
     advance_clock(ev.when);
-    {
-      SLD_PROF_SCOPE("sched.event");
-      ev.action();
-    }
+    ev.action();
     ++executed;
     ++executed_;
   }

@@ -161,9 +161,10 @@ TEST(FaultTolerance, BadConfigRejectedAtConstruction) {
   // Unchecked, they were clamped (k = 0, a storm window <= 0), ran silently
   // (loss 1.5, no detecting IDs, infinite range, NaN error bound, an
   // infinite Zipf exponent that aims every flood alert at one victim, a
-  // flood without collusion that schedules nothing) or died elsewhere (NaN
-  // range in the observability layer, a Zipf exponent <= 0 inside the
-  // sampler without naming the field).
+  // flood without collusion that schedules nothing, a negative phase start
+  // or a sensor phase that starts before the probe phase) or died
+  // elsewhere (NaN range in the observability layer, a Zipf exponent <= 0
+  // inside the sampler without naming the field).
   const double nan = std::numeric_limits<double>::quiet_NaN();
   const double inf = std::numeric_limits<double>::infinity();
   struct Case {
@@ -198,6 +199,12 @@ TEST(FaultTolerance, BadConfigRejectedAtConstruction) {
        [](SystemConfig& c) { c.storm.zipf_exponent = -1.0; }},
       {"storm.flood_alerts_per_colluder",
        [](SystemConfig& c) { c.storm.flood_alerts_per_colluder = 5; }},
+      {"sensor_phase_start",
+       [](SystemConfig& c) { c.sensor_phase_start = -1; }},
+      {"probe_phase_start",
+       [](SystemConfig& c) { c.probe_phase_start = -5 * sim::kSecond; }},
+      {"sensor_phase_start",
+       [](SystemConfig& c) { c.probe_phase_start = 90 * sim::kSecond; }},
   };
   for (std::size_t i = 0; i < cases.size(); ++i) {
     SCOPED_TRACE(testing::Message() << "case " << i << ": " << cases[i].field);

@@ -189,7 +189,7 @@ TEST(DetectionProperty, StrategyPartitionMatchesClosedFormEffectiveness) {
         const int kRequesters = 4000;
         int effective = 0;
         for (int i = 0; i < kRequesters; ++i) {
-          const auto id = static_cast<sim::NodeId>(0x00100000u + i);
+          const auto id = static_cast<sim::NodeId>(0x00100000 + i);
           if (strategy.behavior_for(id) == attack::MaliciousBehavior::kEffective)
             ++effective;
         }

@@ -52,9 +52,11 @@ TEST_P(TheoryVsSim, AffectedNodesTrackAnalysis) {
 
 INSTANTIATE_TEST_SUITE_P(AttackEffectivenessSweep, TheoryVsSim,
                          ::testing::Values(0.1, 0.3, 0.5, 0.8),
-                         [](const auto& info) {
-                           return "P" + std::to_string(static_cast<int>(
-                                            info.param * 100));
+                         [](const auto& p) {
+                           // Appended, not `"P" + std::string&&`: GCC 12 at
+                           // -O3 reports a false -Wrestrict overlap there.
+                           return std::string("P").append(std::to_string(
+                               static_cast<int>(p.param * 100)));
                          });
 
 TEST(TheoryVsSim, HigherPMeansMoreRevocations) {
