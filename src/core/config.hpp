@@ -113,10 +113,6 @@ struct SystemConfig {
   /// Samples for the Figure-4 RTT calibration that fixes x_max.
   std::size_t rtt_calibration_samples = 10'000;
 
-  /// Per-delivery radio loss probability (failure injection; the paper
-  /// assumes reliable delivery via retransmission, so default 0).
-  double channel_loss_probability = 0.0;
-
   /// Composable channel fault injection: i.i.d. + bursty loss,
   /// duplication, corruption, delay jitter, crash windows. Default: all
   /// off, reproducing the paper's reliable-delivery assumption exactly.

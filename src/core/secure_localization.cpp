@@ -13,7 +13,6 @@ namespace sld::core {
 namespace {
 sim::ChannelConfig channel_config_for(const SystemConfig& config) {
   sim::ChannelConfig cc;
-  cc.loss_probability = config.channel_loss_probability;
   cc.faults = config.faults;
   return cc;
 }

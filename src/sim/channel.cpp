@@ -31,14 +31,8 @@ const char* msg_type_name(MsgType type) {
 Channel::Channel(Scheduler& scheduler, ChannelConfig config, util::Rng rng)
     : scheduler_(scheduler),
       config_(std::move(config)),
-      rng_(rng),
-      // The injector gets its own forked stream so enabling faults never
-      // perturbs the delivery-loss draws of the main stream (and a
-      // disabled plan never draws at all).
-      faults_(config_.faults, rng.fork(0xfa0175)) {
-  if (config_.loss_probability < 0.0 || config_.loss_probability > 1.0)
-    throw std::invalid_argument("Channel: loss probability outside [0, 1]");
-}
+      // A disabled plan never draws from this stream.
+      faults_(config_.faults, rng.fork(0xfa0175)) {}
 
 void Channel::add_node(Node* node) {
   if (node == nullptr) throw std::invalid_argument("Channel::add_node: null");
@@ -196,14 +190,6 @@ void Channel::transmit(const TxContext& ctx, const Message& msg) {
 
 void Channel::deliver(Node& dst, const TxContext& ctx, const Message& msg) {
   ++stats_.delivery_attempts;
-  if (rng_.bernoulli(config_.loss_probability)) {
-    ++stats_.losses;
-    check_conservation();
-    if (trace_.on())
-      trace_.emit(
-          trace_.event("pkt.loss").f("src", msg.src).f("dst", msg.dst));
-    return;
-  }
   const double prop_ft =
       util::distance(ctx.radiating_position, dst.position());
   SimTime delay =
@@ -244,11 +230,12 @@ void Channel::deliver(Node& dst, const TxContext& ctx, const Message& msg) {
     }
   }
   auto fate = faults_.decide(msg.src, dst.id());
-  if (fate.dropped) {
-    ++stats_.dropped_by_fault;
+  if (fate.drop != FaultInjector::Drop::kNone) {
+    const bool iid = fate.drop == FaultInjector::Drop::kIid;
+    ++(iid ? stats_.losses : stats_.dropped_by_fault);
     check_conservation();
     if (trace_.on())
-      trace_.emit(trace_.event("pkt.fault_drop")
+      trace_.emit(trace_.event(iid ? "pkt.loss" : "pkt.fault_drop")
                       .f("src", msg.src)
                       .f("dst", msg.dst));
     return;

@@ -1,5 +1,5 @@
 // The radio channel: range-limited unicast with transmission + propagation
-// delay, optional loss, and wormhole tunnels.
+// delay, optional fault injection, and wormhole tunnels.
 //
 // Wormholes are modelled at the channel level, matching the paper's §4
 // setup ("a wormhole ... which forwards every message received at one side
@@ -52,21 +52,18 @@ bool connected(const util::Vec2& a, double a_range, const util::Vec2& b,
                const std::vector<WormholeLink>& wormholes);
 
 struct ChannelConfig {
-  /// Per-delivery loss probability (paper assumes reliable delivery via
-  /// retransmission, so default 0). Kept separate from `faults` for
-  /// backward compatibility; both contribute independently.
-  double loss_probability = 0.0;
   /// Fixed per-packet framing overhead in bytes (preamble/header/CRC).
   std::size_t frame_overhead_bytes = 16;
   /// Composable fault injection (loss models, duplication, corruption,
-  /// jitter, crash windows). All off by default.
+  /// jitter, crash windows). All off by default, which matches the
+  /// paper's reliable delivery via retransmission.
   FaultPlan faults;
 };
 
 /// Counters exposed for tests and experiment reporting. Every delivery
-/// attempt is conserved: it is lost, dropped by a fault, dropped at a
-/// crashed receiver, or delivered — and a duplication fault adds one extra
-/// delivery. So
+/// attempt is conserved: it is lost (the FaultPlan's i.i.d. term), dropped
+/// by another fault, dropped at a crashed receiver, or delivered — and a
+/// duplication fault adds one extra delivery. So
 ///
 ///   deliveries + losses + dropped_by_fault + crashed_rx_drops
 ///       + partition_drops
@@ -81,9 +78,11 @@ struct ChannelStats {
   std::uint64_t delivery_attempts = 0;
   std::uint64_t deliveries = 0;
   std::uint64_t wormhole_deliveries = 0;
+  /// Drops by FaultPlan::loss_probability, the i.i.d. loss term.
   std::uint64_t losses = 0;
   std::uint64_t out_of_range = 0;
   // Fault-injection outcomes (all zero when ChannelConfig::faults is off).
+  /// Drops by the burst, per-node and per-link loss terms.
   std::uint64_t dropped_by_fault = 0;
   std::uint64_t duplicates = 0;
   std::uint64_t corrupted = 0;
@@ -187,7 +186,6 @@ class Channel {
 
   Scheduler& scheduler_;
   ChannelConfig config_;
-  util::Rng rng_;
   FaultInjector faults_;
   std::unordered_map<NodeId, Node*> nodes_;
   std::vector<WormholeLink> wormholes_;

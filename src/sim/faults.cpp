@@ -31,16 +31,23 @@ bool FaultPlan::any_enabled() const {
 
 FaultInjector::FaultInjector(FaultPlan plan, util::Rng rng)
     : plan_(std::move(plan)), rng_(rng), enabled_(plan_.any_enabled()) {
-  auto check_p = [](double p, const char* what) {
-    if (p < 0.0 || p > 1.0)
-      throw std::invalid_argument(std::string("FaultPlan: ") + what +
-                                  " outside [0, 1]");
+  // Named by the plan's path in ChannelConfig and SystemConfig; the test
+  // is written so that NaN fails it too.
+  auto check_p = [](double p, const char* field) {
+    if (!(p >= 0.0 && p <= 1.0))
+      throw std::invalid_argument(std::string("faults.") + field +
+                                  " must be in [0, 1] (got " +
+                                  std::to_string(p) + ")");
   };
-  check_p(plan_.loss_probability, "loss probability");
-  check_p(plan_.duplicate_probability, "duplicate probability");
-  check_p(plan_.corruption_probability, "corruption probability");
-  for (const auto& [node, p] : plan_.node_loss) check_p(p, "node loss");
-  for (const auto& [link, p] : plan_.link_loss) check_p(p, "link loss");
+  check_p(plan_.loss_probability, "loss_probability");
+  check_p(plan_.duplicate_probability, "duplicate_probability");
+  check_p(plan_.corruption_probability, "corruption_probability");
+  for (const auto& [node, p] : plan_.node_loss) check_p(p, "node_loss");
+  for (const auto& [link, p] : plan_.link_loss) check_p(p, "link_loss");
+  check_p(plan_.burst.p_enter_bad, "burst.p_enter_bad");
+  check_p(plan_.burst.p_exit_bad, "burst.p_exit_bad");
+  check_p(plan_.burst.loss_good, "burst.loss_good");
+  check_p(plan_.burst.loss_bad, "burst.loss_bad");
   for (const auto& w : plan_.crashes) {
     if (w.end <= w.start)
       throw std::invalid_argument("FaultPlan: empty crash window");
@@ -95,11 +102,11 @@ double FaultInjector::rtt_skew_cycles(NodeId receiver, NodeId sender) const {
          plan_.clock_drift.turnaround_cycles;
 }
 
-bool FaultInjector::link_lost(NodeId src, NodeId dst) {
+FaultInjector::Drop FaultInjector::link_lost(NodeId src, NodeId dst) {
   // i.i.d. term, applied to every link.
   if (plan_.loss_probability > 0.0 &&
       rng_.bernoulli(plan_.loss_probability))
-    return true;
+    return Drop::kIid;
 
   // Gilbert-Elliott chain, one independent state per (src, dst) link.
   if (plan_.burst.enabled()) {
@@ -113,33 +120,31 @@ bool FaultInjector::link_lost(NodeId src, NodeId dst) {
     } else {
       if (rng_.bernoulli(plan_.burst.p_enter_bad)) in_bad = true;
     }
-    if (lost) return true;
+    if (lost) return Drop::kFault;
   }
 
   // Per-node receiver-side loss.
   if (!plan_.node_loss.empty()) {
     const auto it = plan_.node_loss.find(dst);
     if (it != plan_.node_loss.end() && rng_.bernoulli(it->second))
-      return true;
+      return Drop::kFault;
   }
 
   // Per-link loss.
   if (!plan_.link_loss.empty()) {
     const auto it = plan_.link_loss.find(FaultPlan::link_key(src, dst));
     if (it != plan_.link_loss.end() && rng_.bernoulli(it->second))
-      return true;
+      return Drop::kFault;
   }
 
-  return false;
+  return Drop::kNone;
 }
 
 FaultInjector::DeliveryFate FaultInjector::decide(NodeId src, NodeId dst) {
   DeliveryFate fate;
   if (!enabled_) return fate;
-  if (link_lost(src, dst)) {
-    fate.dropped = true;
-    return fate;  // no further draws for a lost packet
-  }
+  fate.drop = link_lost(src, dst);
+  if (fate.drop != Drop::kNone) return fate;  // no further draws when lost
   if (plan_.duplicate_probability > 0.0)
     fate.duplicated = rng_.bernoulli(plan_.duplicate_probability);
   if (plan_.corruption_probability > 0.0)

@@ -85,7 +85,9 @@ struct PartitionWindow {
 };
 
 struct FaultPlan {
-  /// i.i.d. per-delivery loss probability, applied to every link.
+  /// i.i.d. per-delivery loss probability, applied to every link. The
+  /// channel's only i.i.d. loss knob; its drops count in
+  /// ChannelStats::losses.
   double loss_probability = 0.0;
   /// Bursty loss on top of (or instead of) the i.i.d. term.
   GilbertElliottConfig burst;
@@ -143,11 +145,15 @@ class FaultInjector {
   /// `sender`'s responder turnaround, in CPU cycles. Signed.
   double rtt_skew_cycles(NodeId receiver, NodeId sender) const;
 
+  /// Which loss term dropped a delivery: the i.i.d. `loss_probability`
+  /// term, or one of the burst, per-node and per-link terms.
+  enum class Drop : std::uint8_t { kNone, kIid, kFault };
+
   /// What happens to one (src -> dst) delivery. Draws only for faults the
   /// plan enables; evolves the link's Gilbert-Elliott chain as a side
   /// effect.
   struct DeliveryFate {
-    bool dropped = false;
+    Drop drop = Drop::kNone;
     bool duplicated = false;
     bool corrupted = false;
     SimTime extra_delay_ns = 0;
@@ -159,7 +165,7 @@ class FaultInjector {
   void corrupt(Message& msg);
 
  private:
-  bool link_lost(NodeId src, NodeId dst);
+  Drop link_lost(NodeId src, NodeId dst);
 
   FaultPlan plan_;
   util::Rng rng_;

@@ -128,18 +128,6 @@ TEST_F(ChannelTest, NearbyNodeGetsAllCopies) {
   EXPECT_EQ(tunneled, 2);
 }
 
-TEST_F(ChannelTest, LossyChannelDropsRoughlyAtRate) {
-  ChannelConfig cfg;
-  cfg.loss_probability = 0.5;
-  Network lossy{cfg, 7};
-  auto& a = lossy.emplace_node<RecorderNode>(1, util::Vec2{0, 0}, 150.0);
-  auto& b = lossy.emplace_node<RecorderNode>(2, util::Vec2{10, 0}, 150.0);
-  for (int i = 0; i < 1000; ++i) lossy.channel().unicast(a, make_msg(1, 2));
-  lossy.run();
-  EXPECT_GT(b.deliveries.size(), 400u);
-  EXPECT_LT(b.deliveries.size(), 600u);
-}
-
 TEST_F(ChannelTest, AliasRoutesToOwner) {
   auto& a = net.emplace_node<RecorderNode>(1, util::Vec2{0, 0}, 150.0);
   auto& b = net.emplace_node<RecorderNode>(2, util::Vec2{100, 0}, 150.0);

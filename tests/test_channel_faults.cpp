@@ -7,6 +7,9 @@
 
 #include <algorithm>
 #include <cmath>
+#include <functional>
+#include <limits>
+#include <string>
 #include <vector>
 
 #include "check/invariant.hpp"
@@ -85,10 +88,10 @@ TEST(FaultPlan, IidLossDropsRoughlyAtRate) {
   for (int i = 0; i < 2000; ++i) net.channel().unicast(a, make_msg(1, 2));
   net.run();
   const auto& s = net.channel().stats();
-  EXPECT_EQ(s.dropped_by_fault + b.deliveries.size(), 2000u);
-  EXPECT_GT(s.dropped_by_fault, 480u);  // ~600 expected
-  EXPECT_LT(s.dropped_by_fault, 720u);
-  EXPECT_EQ(s.losses, 0u);  // the legacy iid path stayed quiet
+  EXPECT_EQ(s.losses + b.deliveries.size(), 2000u);
+  EXPECT_GT(s.losses, 480u);  // ~600 expected
+  EXPECT_LT(s.losses, 720u);
+  EXPECT_EQ(s.dropped_by_fault, 0u);  // i.i.d. drops count only as losses
 }
 
 TEST(FaultPlan, GilbertElliottAveragesToTargetAndBursts) {
@@ -324,6 +327,49 @@ TEST(FaultPlan, InvalidParametersRejected) {
   FaultPlan bad_loss;
   bad_loss.loss_probability = 1.5;
   EXPECT_THROW((Network{with_faults(bad_loss), 1}), std::invalid_argument);
+
+  // Every probability outside [0, 1], NaN included, fails at construction
+  // with its field named.
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  struct Case {
+    const char* field;
+    std::function<void(FaultPlan&)> corrupt;
+  };
+  const std::vector<Case> cases = {
+      {"faults.loss_probability",
+       [&](FaultPlan& p) { p.loss_probability = nan; }},
+      {"faults.duplicate_probability",
+       [&](FaultPlan& p) { p.duplicate_probability = nan; }},
+      {"faults.corruption_probability",
+       [&](FaultPlan& p) { p.corruption_probability = nan; }},
+      {"faults.node_loss", [&](FaultPlan& p) { p.node_loss[2] = nan; }},
+      {"faults.link_loss",
+       [&](FaultPlan& p) { p.link_loss[FaultPlan::link_key(1, 2)] = nan; }},
+      {"faults.burst.p_enter_bad",
+       [](FaultPlan& p) { p.burst.p_enter_bad = 1.5; }},
+      {"faults.burst.p_enter_bad",
+       [&](FaultPlan& p) { p.burst.p_enter_bad = nan; }},
+      {"faults.burst.p_exit_bad",
+       [](FaultPlan& p) { p.burst.p_exit_bad = -0.25; }},
+      {"faults.burst.loss_good",
+       [&](FaultPlan& p) { p.burst.loss_good = nan; }},
+      {"faults.burst.loss_bad", [&](FaultPlan& p) {
+         p.burst.p_enter_bad = 0.1;
+         p.burst.loss_bad = nan;
+       }},
+  };
+  for (std::size_t i = 0; i < cases.size(); ++i) {
+    SCOPED_TRACE(testing::Message() << "case " << i << ": " << cases[i].field);
+    FaultPlan plan;
+    cases[i].corrupt(plan);
+    try {
+      Network net{with_faults(plan), 1};
+      ADD_FAILURE() << "bad " << cases[i].field << " was accepted";
+    } catch (const std::invalid_argument& e) {
+      EXPECT_NE(std::string(e.what()).find(cases[i].field), std::string::npos)
+          << e.what();
+    }
+  }
 
   FaultPlan bad_window;
   bad_window.crashes.push_back(CrashWindow{1, 100, 100});

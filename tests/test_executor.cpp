@@ -14,9 +14,9 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
-#include <regex>
 #include <sstream>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "core/experiment.hpp"
@@ -50,10 +50,37 @@ SystemConfig small_config(std::uint64_t seed) {
 /// Masks the wall-clock gauges — the one carve-out in metrics_json AND in
 /// `ts.window` records (the sampler snapshots every gauge, including the
 /// phase timers, which measure the host rather than the simulation).
+/// Each `"phase.<name>_ms":<number>` (name chars [A-Za-z0-9_.], number
+/// chars [-+0-9.eE]) becomes `"phase_ms":0`.
 std::string normalize_metrics(const std::string& json) {
-  static const std::regex phase_ms(
-      R"("phase\.[A-Za-z0-9_.]+_ms":[-+0-9.eE]+)");
-  return std::regex_replace(json, phase_ms, "\"phase_ms\":0");
+  const auto is_name = [](char c) {
+    return (c >= 'A' && c <= 'Z') || (c >= 'a' && c <= 'z') ||
+           (c >= '0' && c <= '9') || c == '_' || c == '.';
+  };
+  const auto is_number = [](char c) {
+    return (c >= '0' && c <= '9') || c == '-' || c == '+' || c == '.' ||
+           c == 'e' || c == 'E';
+  };
+  const std::string_view prefix = "\"phase.";
+  std::string out;
+  std::size_t copied = 0;
+  std::size_t at = 0;
+  while ((at = json.find(prefix, at)) != std::string::npos) {
+    const std::size_t name = at + prefix.size();
+    std::size_t i = name;
+    while (i < json.size() && is_name(json[i])) ++i;
+    const std::size_t number = i + 2;
+    std::size_t end = number;
+    while (end < json.size() && is_number(json[end])) ++end;
+    if (i - name < 4 || json.compare(i - 3, 3, "_ms") != 0 ||
+        json.compare(i, 2, "\":") != 0 || end == number) {
+      ++at;
+      continue;
+    }
+    out.append(json, copied, at - copied).append("\"phase_ms\":0");
+    copied = at = end;
+  }
+  return out.append(json, copied);
 }
 
 /// Applies the wall-clock mask line-by-line to a buffered JSONL stream.

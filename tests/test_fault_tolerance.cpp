@@ -120,7 +120,7 @@ TEST(FaultTolerance, TimeoutsAreAccountedExplicitly) {
   c.arq.max_retries = 0;
   SecureLocalizationSystem sys(c);
   const auto s = sys.run();
-  EXPECT_GT(s.channel.dropped_by_fault, 0u);
+  EXPECT_GT(s.channel.losses, 0u);
   EXPECT_GT(s.raw.probe_no_response, 0u);
   EXPECT_GT(s.raw.sensor_no_response, 0u);
   EXPECT_EQ(s.raw.probe_retransmissions, 0u);
@@ -205,6 +205,8 @@ TEST(FaultTolerance, BadConfigRejectedAtConstruction) {
        [](SystemConfig& c) { c.probe_phase_start = -5 * sim::kSecond; }},
       {"sensor_phase_start",
        [](SystemConfig& c) { c.probe_phase_start = 90 * sim::kSecond; }},
+      {"faults.loss_probability",
+       [&](SystemConfig& c) { c.faults.loss_probability = nan; }},
   };
   for (std::size_t i = 0; i < cases.size(); ++i) {
     SCOPED_TRACE(testing::Message() << "case " << i << ": " << cases[i].field);

@@ -279,7 +279,7 @@ TEST(SystemIntegration, LossyRadioDegradesGracefully) {
 
   ExperimentConfig lossless{c, 3};
   ExperimentConfig lossy{c, 3};
-  lossy.base.channel_loss_probability = 0.25;
+  lossy.base.faults.loss_probability = 0.25;
 
   const auto clean = run_experiment(lossless);
   const auto degraded = run_experiment(lossy);

@@ -142,7 +142,7 @@ class LossSweep : public ::testing::TestWithParam<double> {};
 TEST_P(LossSweep, SystemSurvivesLossyRadios) {
   SystemConfig c = sweep_config(41 + static_cast<std::uint64_t>(
                                          GetParam() * 100));
-  c.channel_loss_probability = GetParam();
+  c.faults.loss_probability = GetParam();
   c.strategy = attack::MaliciousStrategyConfig::with_effectiveness(0.5);
   SecureLocalizationSystem system(c);
   const auto s = system.run();

@@ -1,8 +1,8 @@
 #!/usr/bin/env bash
-# Tier-1 gate: build Release and Sanitize (ASan+UBSan) configurations, run
-# the full gtest suite on each, then run one traced smoke trial and
-# schema-validate the emitted JSONL trace. Exits nonzero on the first
-# failure.
+# Tier-1 gate: build Release and Sanitize (ASan+UBSan) configurations with
+# warnings as errors, run the full gtest suite on each, then run one traced
+# smoke trial and schema-validate the emitted JSONL trace. Exits nonzero on
+# the first failure.
 #
 # Usage: tools/run_tier1.sh [jobs]
 #
@@ -38,7 +38,8 @@ run_config() {
   fi
   echo "=== [$name] configure ($build_type) ==="
   cmake -S "$repo" -B "$dir" -DCMAKE_BUILD_TYPE="$build_type" \
-    -DSLD_BUILD_BENCH=ON -DSLD_BUILD_EXAMPLES=OFF "${launcher_args[@]}"
+    -DSLD_BUILD_BENCH=ON -DSLD_BUILD_EXAMPLES=OFF \
+    -DSLD_WARNINGS_AS_ERRORS=ON "${launcher_args[@]}"
   echo "=== [$name] build ==="
   cmake --build "$dir" -j "$jobs"
   echo "=== [$name] ctest ==="
