@@ -49,6 +49,19 @@ bool verify(const crypto::PairwiseKeyManager& keys, const sim::Message& msg) {
   return crypto::verify_mac(keys.pairwise_key(msg.src, msg.dst), msg.src,
                             msg.dst, msg.payload, msg.mac);
 }
+
+/// SystemContext's field checks: throws naming `field` in SystemConfig.
+[[noreturn]] void reject(const std::string& field, const std::string& rule,
+                         const std::string& got) {
+  throw std::invalid_argument("SystemConfig: " + field + " must be " + rule +
+                              " (got " + got + ")");
+}
+
+/// `p` if it is a probability, NaN excluded; else rejects `field`.
+double checked_probability(double p, const char* field) {
+  if (!(p >= 0.0 && p <= 1.0)) reject(field, "in [0, 1]", std::to_string(p));
+  return p;
+}
 }  // namespace
 
 SystemContext::SystemContext(const SystemConfig& cfg)
@@ -60,25 +73,20 @@ SystemContext::SystemContext(const SystemConfig& cfg)
       timing(cfg.timing),
       cluster(cfg.revocation, cfg.failover),
       ingest(cfg.ingest, cluster),
-      dissemination(cfg.revocation_reach_probability,
+      // Checked here, not in the body: the model is built before it runs.
+      dissemination(checked_probability(cfg.revocation_reach_probability,
+                                        "revocation_reach_probability"),
                     cfg.seed ^ 0xd15534731a7e0000ULL),
       rng(cfg.seed) {
   // Reject bad values here, naming the field, before they reach a
   // subsystem that would fail obscurely or run silently on them.
-  const auto reject = [](const std::string& field, const std::string& rule,
-                         const std::string& got) {
-    throw std::invalid_argument("SystemConfig: " + field + " must be " +
-                                rule + " (got " + got + ")");
-  };
   if (cfg.rtt_probe_repeats == 0) reject("rtt_probe_repeats", ">= 1", "0");
   if (cfg.detecting_ids == 0) reject("detecting_ids", ">= 1", "0");
   const double range = cfg.deployment.comm_range_ft;
   if (!(range > 0.0 && std::isfinite(range)))
     reject("deployment.comm_range_ft", "finite and > 0",
            std::to_string(range));
-  const double loss = cfg.alert_loss_probability;
-  if (!(loss >= 0.0 && loss <= 1.0))
-    reject("alert_loss_probability", "in [0, 1]", std::to_string(loss));
+  checked_probability(cfg.alert_loss_probability, "alert_loss_probability");
   if (!std::isfinite(cfg.rssi.max_error_ft))
     reject("rssi.max_error_ft", "finite",
            std::to_string(cfg.rssi.max_error_ft));
@@ -363,23 +371,26 @@ void BeaconNode::set_probe_targets(std::vector<sim::NodeId> targets) {
   probe_targets_ = std::move(targets);
 }
 
-void BeaconNode::start() { schedule_probes(); }
-
-void BeaconNode::schedule_probes() {
+void BeaconNode::plan_start(std::vector<sim::PlannedTimer>& plan) {
   // Probe every target beacon once per detecting ID, staggered so the
   // event queue interleaves nodes deterministically but not degenerately.
-  // At start() this begins at probe_phase_start exactly as the seed did;
+  // At start this begins at probe_phase_start exactly as the seed did;
   // after a reboot it begins at the current time instead.
   sim::SimTime at =
       std::max(scheduler().now(), ctx_.config.probe_phase_start);
   for (const auto target : probe_targets_) {
     for (const auto detecting_id : detecting_ids_) {
       at += ctx_.config.transmission_stagger;
-      schedule_timer_at(at, [this, target, detecting_id]() {
-        send_probe(target, detecting_id);
-      });
+      plan.push_back(planned_timer(at, target, detecting_id));
     }
   }
+}
+
+void BeaconNode::on_planned_timer(const sim::PlannedTimer& t) {
+  PendingProbe probe;
+  probe.target = t.target;
+  probe.detecting_id = t.src;
+  send_probe_round(std::move(probe), /*is_retransmission=*/false);
 }
 
 void BeaconNode::on_crash(sim::SimTime) {
@@ -393,14 +404,7 @@ void BeaconNode::on_crash(sim::SimTime) {
 void BeaconNode::on_reboot(sim::SimTime now, sim::SimTime) {
   // Rebooting inside the probe phase restarts the probe schedule from
   // scratch; after the phase the node just resumes answering requests.
-  if (now < ctx_.config.sensor_phase_start) schedule_probes();
-}
-
-void BeaconNode::send_probe(sim::NodeId target, sim::NodeId detecting_id) {
-  PendingProbe probe;
-  probe.target = target;
-  probe.detecting_id = detecting_id;
-  send_probe_round(std::move(probe), /*is_retransmission=*/false);
+  if (now < ctx_.config.sensor_phase_start) replan();
 }
 
 void BeaconNode::send_probe_round(PendingProbe probe,
@@ -442,10 +446,9 @@ void BeaconNode::send_probe_round(PendingProbe probe,
 
 void BeaconNode::on_probe_timeout(std::uint64_t nonce) {
   SLD_MEM_SCOPE("arq");
-  const auto it = pending_.find(nonce);
-  if (it == pending_.end()) return;  // a reply arrived in time
-  PendingProbe probe = std::move(it->second);
-  pending_.erase(it);
+  std::optional<PendingProbe> taken = pending_.take(nonce);
+  if (!taken) return;  // a reply arrived in time
+  PendingProbe probe = std::move(*taken);
   if (ctx_.tracer.on()) {
     ctx_.tracer.emit(
         ctx_.tracer.event("arq.timeout")
@@ -517,10 +520,9 @@ void BeaconNode::handle_probe_reply(const sim::Delivery& delivery) {
     return;
   }
   const auto reply = sim::BeaconReplyPayload::parse(delivery.msg.payload);
-  const auto it = pending_.find(reply.nonce);
-  if (it == pending_.end()) return;  // duplicate or stale: first copy wins
-  PendingProbe probe = std::move(it->second);
-  pending_.erase(it);
+  std::optional<PendingProbe> taken = pending_.take(reply.nonce);
+  if (!taken) return;  // duplicate or stale: first copy wins
+  PendingProbe probe = std::move(*taken);
   if (delivery.msg.src != probe.target) return;  // mismatched responder
   ++ctx_.metrics.probe_replies;
 
@@ -621,17 +623,17 @@ void SensorNode::set_query_targets(std::vector<sim::NodeId> targets) {
   query_targets_ = std::move(targets);
 }
 
-void SensorNode::start() { schedule_queries(); }
-
-void SensorNode::schedule_queries() {
+void SensorNode::plan_start(std::vector<sim::PlannedTimer>& plan) {
   sim::SimTime at =
       std::max(scheduler().now(), ctx_.config.sensor_phase_start);
   for (const auto target : query_targets_) {
     at += ctx_.config.transmission_stagger;
-    schedule_timer_at(at, [this, target]() {
-      send_query(PendingQuery{target, 0}, /*is_retransmission=*/false);
-    });
+    plan.push_back(planned_timer(at, target, id()));
   }
+}
+
+void SensorNode::on_planned_timer(const sim::PlannedTimer& t) {
+  send_query(PendingQuery{t.target, 0}, /*is_retransmission=*/false);
 }
 
 void SensorNode::on_crash(sim::SimTime) {
@@ -646,7 +648,7 @@ void SensorNode::on_reboot(sim::SimTime, sim::SimTime) {
   // re-queries everything: the pre-crash query timers are epoch-fenced and
   // its accepted set was lost either way. (Before the phase this simply
   // re-registers the original schedule.)
-  schedule_queries();
+  replan();
 }
 
 void SensorNode::send_query(PendingQuery query, bool is_retransmission) {
@@ -683,10 +685,9 @@ void SensorNode::send_query(PendingQuery query, bool is_retransmission) {
 
 void SensorNode::on_query_timeout(std::uint64_t nonce) {
   SLD_MEM_SCOPE("arq");
-  const auto it = pending_.find(nonce);
-  if (it == pending_.end()) return;  // answered in time
-  PendingQuery query = it->second;
-  pending_.erase(it);
+  const std::optional<PendingQuery> taken = pending_.take(nonce);
+  if (!taken) return;  // answered in time
+  PendingQuery query = *taken;
   if (ctx_.tracer.on()) {
     ctx_.tracer.emit(
         ctx_.tracer.event("arq.timeout")
@@ -728,10 +729,9 @@ void SensorNode::on_message(const sim::Delivery& delivery) {
     return;
   }
   const auto reply = sim::BeaconReplyPayload::parse(delivery.msg.payload);
-  const auto it = pending_.find(reply.nonce);
-  if (it == pending_.end()) return;  // duplicate or stale: first copy wins
-  const sim::NodeId target = it->second.target;
-  pending_.erase(it);
+  const std::optional<PendingQuery> taken = pending_.take(reply.nonce);
+  if (!taken) return;  // duplicate or stale: first copy wins
+  const sim::NodeId target = taken->target;
   if (delivery.msg.src != target) return;
   ++ctx_.metrics.sensor_replies;
 

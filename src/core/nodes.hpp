@@ -3,6 +3,7 @@
 // beacons, non-beacon sensors, and the shared per-trial SystemContext.
 #pragma once
 
+#include <algorithm>
 #include <memory>
 #include <optional>
 #include <unordered_map>
@@ -33,6 +34,39 @@
 #include "util/stats.hpp"
 
 namespace sld::core {
+
+/// The exchanges a node has in flight, keyed by nonce. A node holds only a
+/// few at a time and nothing iterates them, so a flat vector does: find is
+/// a short scan and removal swaps in the last entry.
+template <typename T>
+class NonceTable {
+ public:
+  /// Adds `value` unless `nonce` is already present (the first entry for
+  /// a nonce stays, as with std::unordered_map::emplace).
+  void emplace(std::uint64_t nonce, T value) {
+    if (find(nonce) == entries_.end())
+      entries_.emplace_back(nonce, std::move(value));
+  }
+  /// Removes and returns the entry for `nonce`, if there is one.
+  std::optional<T> take(std::uint64_t nonce) {
+    const auto it = find(nonce);
+    if (it == entries_.end()) return std::nullopt;
+    std::optional<T> out(std::move(it->second));
+    if (it != entries_.end() - 1) *it = std::move(entries_.back());
+    entries_.pop_back();
+    return out;
+  }
+  void clear() { entries_.clear(); }
+
+ private:
+  using Entry = std::pair<std::uint64_t, T>;
+  typename std::vector<Entry>::iterator find(std::uint64_t nonce) {
+    return std::find_if(entries_.begin(), entries_.end(),
+                        [nonce](const Entry& e) { return e.first == nonce; });
+  }
+
+  std::vector<Entry> entries_;
+};
 
 /// Ground truth the metrics oracle keeps about every beacon.
 struct BeaconTruth {
@@ -226,12 +260,18 @@ class BeaconNode final : public sim::Node, public sim::Recoverable {
   /// Beacons this node will probe (set by the system from connectivity).
   void set_probe_targets(std::vector<sim::NodeId> targets);
 
-  void start() override;
+  /// One probe per (target, detecting ID), staggered from
+  /// max(now, probe_phase_start): the start plan and, after a reboot
+  /// inside the probe phase, the restart.
+  void plan_start(std::vector<sim::PlannedTimer>& plan) override;
   void on_message(const sim::Delivery& delivery) override;
   void on_crash(sim::SimTime now) override;
   void on_reboot(sim::SimTime now, sim::SimTime downtime) override;
 
   std::size_t alerts_reported() const { return reported_.size(); }
+
+ protected:
+  void on_planned_timer(const sim::PlannedTimer& t) override;
 
  private:
   /// One probe exchange in flight. Carries the ARQ attempt counter for the
@@ -248,17 +288,13 @@ class BeaconNode final : public sim::Node, public sim::Recoverable {
 
   void handle_request(const sim::Delivery& delivery);
   void handle_probe_reply(const sim::Delivery& delivery);
-  /// (Re)schedules one probe per (target, detecting id), staggered from
-  /// max(now, probe_phase_start) — start() and post-reboot restarts share it.
-  void schedule_probes();
-  void send_probe(sim::NodeId target, sim::NodeId detecting_id);
   void send_probe_round(PendingProbe probe, bool is_retransmission);
   void on_probe_timeout(std::uint64_t nonce);
 
   SystemContext& ctx_;
   std::vector<sim::NodeId> detecting_ids_;
   std::vector<sim::NodeId> probe_targets_;
-  std::unordered_map<std::uint64_t, PendingProbe> pending_;  // by nonce
+  NonceTable<PendingProbe> pending_;
   std::unordered_set<sim::NodeId> reported_;  // one alert per target
   util::Rng rng_;
 };
@@ -298,7 +334,9 @@ class SensorNode final : public sim::Node, public sim::Recoverable {
   /// Beacons this sensor will query (set by the system from connectivity).
   void set_query_targets(std::vector<sim::NodeId> targets);
 
-  void start() override;
+  /// One query per target, staggered from max(now, sensor_phase_start):
+  /// the start plan and the restart after any reboot.
+  void plan_start(std::vector<sim::PlannedTimer>& plan) override;
   void on_message(const sim::Delivery& delivery) override;
   void on_crash(sim::SimTime now) override;
   void on_reboot(sim::SimTime now, sim::SimTime downtime) override;
@@ -310,6 +348,9 @@ class SensorNode final : public sim::Node, public sim::Recoverable {
   const std::optional<localization::LocalizationResult>& result() const {
     return result_;
   }
+
+ protected:
+  void on_planned_timer(const sim::PlannedTimer& t) override;
 
  private:
   struct AcceptedReference {
@@ -323,15 +364,12 @@ class SensorNode final : public sim::Node, public sim::Recoverable {
     std::size_t attempt = 0;
   };
 
-  /// (Re)schedules one query per target, staggered from
-  /// max(now, sensor_phase_start) — start() and post-reboot restarts.
-  void schedule_queries();
   void send_query(PendingQuery query, bool is_retransmission);
   void on_query_timeout(std::uint64_t nonce);
 
   SystemContext& ctx_;
   std::vector<sim::NodeId> query_targets_;
-  std::unordered_map<std::uint64_t, PendingQuery> pending_;  // by nonce
+  NonceTable<PendingQuery> pending_;
   std::vector<AcceptedReference> accepted_;
   std::optional<localization::LocalizationResult> result_;
   util::Rng rng_;

@@ -1,5 +1,6 @@
 #include "sim/faults.hpp"
 
+#include <cmath>
 #include <stdexcept>
 #include <string>
 #include <utility>
@@ -31,13 +32,14 @@ bool FaultPlan::any_enabled() const {
 
 FaultInjector::FaultInjector(FaultPlan plan, util::Rng rng)
     : plan_(std::move(plan)), rng_(rng), enabled_(plan_.any_enabled()) {
-  // Named by the plan's path in ChannelConfig and SystemConfig; the test
+  // Named by the plan's path in ChannelConfig and SystemConfig; each test
   // is written so that NaN fails it too.
-  auto check_p = [](double p, const char* field) {
-    if (!(p >= 0.0 && p <= 1.0))
-      throw std::invalid_argument(std::string("faults.") + field +
-                                  " must be in [0, 1] (got " +
-                                  std::to_string(p) + ")");
+  auto reject = [](const char* field, const char* rule, double got) {
+    throw std::invalid_argument(std::string("faults.") + field + " must be " +
+                                rule + " (got " + std::to_string(got) + ")");
+  };
+  auto check_p = [&reject](double p, const char* field) {
+    if (!(p >= 0.0 && p <= 1.0)) reject(field, "in [0, 1]", p);
   };
   check_p(plan_.loss_probability, "loss_probability");
   check_p(plan_.duplicate_probability, "duplicate_probability");
@@ -52,10 +54,17 @@ FaultInjector::FaultInjector(FaultPlan plan, util::Rng rng)
     if (w.end <= w.start)
       throw std::invalid_argument("FaultPlan: empty crash window");
   }
-  if (plan_.clock_drift.max_drift_ppm < 0.0)
-    throw std::invalid_argument("FaultPlan: negative clock drift");
-  if (plan_.clock_drift.enabled() && plan_.clock_drift.turnaround_cycles <= 0.0)
-    throw std::invalid_argument("FaultPlan: non-positive drift turnaround");
+  const ClockDriftConfig& drift = plan_.clock_drift;
+  if (!(drift.max_drift_ppm >= 0.0 && std::isfinite(drift.max_drift_ppm)))
+    reject("clock_drift.max_drift_ppm", "finite and >= 0",
+           drift.max_drift_ppm);
+  const double turnaround = drift.turnaround_cycles;
+  if (drift.enabled() && !(turnaround > 0.0 && std::isfinite(turnaround)))
+    reject("clock_drift.turnaround_cycles", "finite and > 0 with drift on",
+           turnaround);
+  if (plan_.max_extra_delay_ns < 0)
+    reject("max_extra_delay_ns", ">= 0",
+           static_cast<double>(plan_.max_extra_delay_ns));
   partition_sides_.reserve(plan_.partitions.size());
   for (const auto& p : plan_.partitions) {
     if (p.end <= p.start)

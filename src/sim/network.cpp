@@ -5,6 +5,9 @@
 #include <limits>
 #include <numeric>
 #include <stdexcept>
+#include <utility>
+
+#include "obs/memstats.hpp"
 
 namespace sld::sim {
 
@@ -188,7 +191,20 @@ std::vector<NodeId> Network::connected_nodes(NodeId id) {
 }
 
 void Network::start_all() {
-  for (Node* n : order_) n->start();
+  // Every node's start-time timers ride one sorted lane. No start hook
+  // schedules anything, so the lane draws exactly the seqs that one
+  // schedule_at per timer, in hook order, would draw (DESIGN.md §17).
+  {
+    SLD_MEM_SCOPE("scheduler");
+    std::vector<PlannedTimer> plan;
+    for (Node* n : order_) n->plan_start(plan);
+    std::vector<SimTime> times(plan.size());
+    for (std::size_t i = 0; i < plan.size(); ++i) times[i] = plan[i].when;
+    scheduler_.schedule_stream(
+        std::move(times), [plan = std::move(plan)](std::size_t i) {
+          plan[i].node->fire_planned(plan[i]);
+        });
+  }
 
   // Fault-plan lifecycle transitions. Only configured plans schedule
   // anything, so fault-free runs keep the seed event sequence bit-for-bit.

@@ -55,7 +55,9 @@ class Network {
   std::uint64_t index_queries() const { return index_queries_; }
   std::uint64_t index_candidates() const { return index_candidates_; }
 
-  /// Calls start() on every node in registration order.
+  /// Collects every node's start-hook plan (Node::plan_start) in
+  /// registration order and schedules it as one sorted lane, then the
+  /// fault plan's crash, reboot and partition transitions.
   void start_all();
 
   /// Runs the simulation until the event queue drains (bounded by

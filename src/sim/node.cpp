@@ -5,6 +5,7 @@
 #include <utility>
 
 #include "check/invariant.hpp"
+#include "obs/memstats.hpp"
 #include "sim/channel.hpp"
 #include "sim/recoverable.hpp"
 
@@ -50,21 +51,39 @@ void Node::schedule_timer(SimTime delay, std::function<void()> action) {
   schedule_timer_at(scheduler().now() + delay, std::move(action));
 }
 
+bool Node::admit_timer(std::uint32_t epoch) {
+  if (epoch != boot_epoch_ || !alive_at(scheduler_->now())) {
+    ++timers_dropped_;
+    return false;
+  }
+  SLD_INVARIANT(!down_ && !(channel_ != nullptr &&
+                            channel_->faults().enabled() &&
+                            channel_->faults().node_crashed(
+                                id_, scheduler_->now())),
+                "node timer fired while its owner is down");
+  return true;
+}
+
 void Node::schedule_timer_at(SimTime when, std::function<void()> action) {
+  // The closure outgrows std::function's inline buffer: one allocation.
+  SLD_MEM_SCOPE("scheduler");
   Scheduler& sched = scheduler();
   const std::uint32_t epoch = boot_epoch_;
   sched.schedule_at(when, [this, epoch, action = std::move(action)]() {
-    if (epoch != boot_epoch_ || !alive_at(scheduler_->now())) {
-      ++timers_dropped_;
-      return;
-    }
-    SLD_INVARIANT(!down_ && !(channel_ != nullptr &&
-                              channel_->faults().enabled() &&
-                              channel_->faults().node_crashed(
-                                  id_, scheduler_->now())),
-                  "node timer fired while its owner is down");
-    action();
+    if (admit_timer(epoch)) action();
   });
+}
+
+void Node::fire_planned(const PlannedTimer& t) {
+  if (admit_timer(t.epoch)) on_planned_timer(t);
+}
+
+void Node::replan() {
+  SLD_MEM_SCOPE("scheduler");
+  std::vector<PlannedTimer> plan;
+  plan_start(plan);
+  for (const PlannedTimer& t : plan)
+    scheduler().schedule_at(t.when, [t]() { t.node->fire_planned(t); });
 }
 
 void Node::crash_now() {

@@ -6,6 +6,7 @@
 
 #include <cstdint>
 #include <functional>
+#include <vector>
 
 #include "sim/message.hpp"
 #include "sim/scheduler.hpp"
@@ -14,6 +15,19 @@
 namespace sld::sim {
 
 class Channel;
+class Node;
+
+/// A timer a node plans before the run (see Node::plan_start). When it
+/// fires and the epoch fence admits it, the owner's on_planned_timer runs
+/// with it; `target` and `src` are the owner's to read (a beacon probes
+/// `target` from detecting ID `src`, a sensor queries `target`).
+struct PlannedTimer {
+  SimTime when = 0;
+  Node* node = nullptr;
+  std::uint32_t epoch = 0;  // the owner's boot epoch when planned
+  NodeId target = 0;
+  NodeId src = 0;
+};
 
 class Node {
  public:
@@ -34,8 +48,15 @@ class Node {
   /// this node arrives. MAC verification is the receiver's job.
   virtual void on_message(const Delivery& delivery) = 0;
 
-  /// Invoked once when the simulation starts; schedule initial work here.
-  virtual void start() {}
+  /// The start hook: appends the timers this node plans from
+  /// max(now, its phase start) to `plan` and schedules nothing.
+  /// Network::start_all calls it once per node in registration order and
+  /// runs the whole plan as one sorted lane; replan() calls it again after
+  /// a reboot.
+  virtual void plan_start(std::vector<PlannedTimer>& plan) { (void)plan; }
+
+  /// Runs planned timer `t` of this node through the epoch fence.
+  void fire_planned(const PlannedTimer& t);
 
   /// Wires the node to its environment; called by Network.
   void attach(Channel* channel, Scheduler* scheduler);
@@ -73,10 +94,26 @@ class Node {
   /// Absolute-time variant of schedule_timer.
   void schedule_timer_at(SimTime when, std::function<void()> action);
 
+  /// A planned timer of this node in its current boot epoch.
+  PlannedTimer planned_timer(SimTime when, NodeId target, NodeId src) {
+    return PlannedTimer{when, this, boot_epoch_, target, src};
+  }
+
+  /// Runs a planned timer that passed the epoch fence.
+  virtual void on_planned_timer(const PlannedTimer& t) { (void)t; }
+
+  /// Re-plans the start hook's timers through the event heap, one push per
+  /// timer in plan order (the restart after a reboot).
+  void replan();
+
  private:
   /// True if the node may act at time `now`: neither dynamically down nor
   /// inside a statically configured crash window.
   bool alive_at(SimTime now) const;
+
+  /// The epoch fence every node timer passes: true if a timer scheduled in
+  /// boot epoch `epoch` may act now, else counts it in timers_dropped().
+  bool admit_timer(std::uint32_t epoch);
 
   NodeId id_;
   util::Vec2 position_;

@@ -61,6 +61,10 @@ class Scheduler {
   /// High-water mark of the pending-event queue depth.
   std::size_t max_pending() const { return max_pending_; }
 
+  /// High-water mark of the event heap alone (EventQueue::slab_size()).
+  /// Unlike max_pending(), it leaves out lane items.
+  std::size_t heap_high_water() const { return queue_.slab_size(); }
+
   /// Optional hot-path micro-counter sink (queue depth, sift distances,
   /// event wait), forwarded to the event queue. Not owned; nullptr turns
   /// recording back off.

@@ -10,6 +10,7 @@
 #include <functional>
 #include <limits>
 #include <string>
+#include <tuple>
 #include <vector>
 
 #include "check/invariant.hpp"
@@ -17,6 +18,7 @@
 #include "sim/arq.hpp"
 #include "sim/channel.hpp"
 #include "sim/network.hpp"
+#include "sim/recoverable.hpp"
 
 namespace sld::sim {
 namespace {
@@ -259,6 +261,115 @@ TEST(FaultPlan, CrashDropsOwnedTimersAndRebootFencesOldEpoch) {
   EXPECT_EQ(check::invariant_failure_count(), violations_before);
 }
 
+/// Plans kTimers timers, kStagger apart from max(now, kPhase), and logs
+/// each one that fires. With `per_timer` the start hook instead pushes each
+/// timer onto the heap itself (schedule_timer_at, one call per timer in
+/// plan order): the order the planned-start lane must reproduce. A reboot
+/// re-plans through replan() either way.
+class PlanningNode final : public Node, public Recoverable {
+ public:
+  static constexpr SimTime kPhase = 1000;
+  static constexpr SimTime kStagger = 10;
+  static constexpr NodeId kTimers = 6;
+
+  using Entry = std::tuple<SimTime, NodeId, NodeId>;  // (when, node, item)
+
+  PlanningNode(NodeId id, bool per_timer, std::vector<Entry>& log)
+      : Node(id, util::Vec2{static_cast<double>(id), 0.0}, 150.0),
+        per_timer_(per_timer),
+        log_(log) {}
+
+  void on_message(const Delivery&) override {}
+  void plan_start(std::vector<PlannedTimer>& plan) override {
+    SimTime at = std::max(scheduler().now(), kPhase);
+    for (NodeId k = 0; k < kTimers; ++k) {
+      at += kStagger;
+      if (per_timer_)
+        schedule_timer_at(at, [this, k]() { record(k); });
+      else
+        plan.push_back(planned_timer(at, k, id()));
+    }
+  }
+  void on_crash(SimTime) override {}
+  void on_reboot(SimTime, SimTime) override { replan(); }
+
+ protected:
+  void on_planned_timer(const PlannedTimer& t) override { record(t.target); }
+
+ private:
+  void record(NodeId k) { log_.emplace_back(scheduler().now(), id(), k); }
+
+  bool per_timer_;
+  std::vector<Entry>& log_;
+};
+
+struct PlannedRun {
+  std::vector<PlanningNode::Entry> log;
+  std::vector<std::uint64_t> dropped;
+  std::vector<std::uint32_t> epochs;
+  std::size_t max_pending = 0;
+  std::size_t heap_high_water = 0;
+};
+
+PlannedRun run_planned(bool per_timer) {
+  constexpr SimTime kPhase = PlanningNode::kPhase;
+  // Node 2 crashes and reboots at planned instants, inside the plan.
+  FaultPlan faults;
+  faults.crashes.push_back(CrashWindow{2, kPhase + 30, kPhase + 50});
+  Network net{with_faults(faults), 43};
+  PlannedRun out;
+  std::vector<PlanningNode*> nodes;
+  for (NodeId id = 1; id <= 3; ++id)
+    nodes.push_back(&net.emplace_node<PlanningNode>(id, per_timer, out.log));
+  // Heap events at planned instants, tagged with item numbers no timer
+  // has: two with lower seqs than the plan, three with higher ones, and
+  // one that schedules another at its own instant while the plan runs.
+  Scheduler& sched = net.scheduler();
+  const auto heap_event = [&](SimTime when, NodeId tag) {
+    sched.schedule_at(when, [&out, when, tag]() {
+      out.log.emplace_back(when, 0, tag);
+    });
+  };
+  heap_event(kPhase + 10, 100);
+  heap_event(kPhase + 30, 101);
+  net.start_all();
+  heap_event(kPhase + 10, 102);
+  heap_event(kPhase + 50, 103);
+  heap_event(kPhase + 70, 104);
+  sched.schedule_at(kPhase + 20, [&]() {
+    out.log.emplace_back(kPhase + 20, 0, 105);
+    heap_event(kPhase + 20, 106);
+  });
+  net.run();
+  for (const PlanningNode* n : nodes) {
+    out.dropped.push_back(n->timers_dropped());
+    out.epochs.push_back(n->boot_epoch());
+  }
+  out.max_pending = sched.max_pending();
+  out.heap_high_water = sched.heap_high_water();
+  return out;
+}
+
+TEST(FaultPlan, PlannedStartLaneRunsInPerTimerPushOrder) {
+  const auto violations_before = check::invariant_failure_count();
+  const PlannedRun lane = run_planned(/*per_timer=*/false);
+  const PlannedRun pushed = run_planned(/*per_timer=*/true);
+  EXPECT_EQ(lane.log, pushed.log);
+  EXPECT_EQ(lane.dropped, pushed.dropped);
+  EXPECT_EQ(lane.epochs, pushed.epochs);
+  EXPECT_EQ(lane.max_pending, pushed.max_pending);
+  // 3 x 6 planned timers plus 6 re-planned ones and 7 heap events. Node 2
+  // drops +30 and +40 (inside its crash window), +50 (it pops before the
+  // reboot at that instant, so the node is still down) and +60 (stale
+  // epoch).
+  EXPECT_EQ(lane.log.size(), 3u * 6u - 4u + 6u + 7u);
+  EXPECT_EQ(lane.dropped, (std::vector<std::uint64_t>{0, 4, 0}));
+  EXPECT_EQ(lane.epochs, (std::vector<std::uint32_t>{0, 1, 0}));
+  // The plan never entered the heap; the re-plan after the reboot did.
+  EXPECT_LT(lane.heap_high_water, pushed.heap_high_water);
+  EXPECT_EQ(check::invariant_failure_count(), violations_before);
+}
+
 TEST(FaultPlan, DriftAndPartitionValidationRejected) {
   FaultPlan bad_drift;
   bad_drift.clock_drift.max_drift_ppm = -1.0;
@@ -328,8 +439,9 @@ TEST(FaultPlan, InvalidParametersRejected) {
   bad_loss.loss_probability = 1.5;
   EXPECT_THROW((Network{with_faults(bad_loss), 1}), std::invalid_argument);
 
-  // Every probability outside [0, 1], NaN included, fails at construction
-  // with its field named.
+  // Every probability outside [0, 1], NaN included, and every drift or
+  // jitter bound out of its range fails at construction with its field
+  // named.
   const double nan = std::numeric_limits<double>::quiet_NaN();
   struct Case {
     const char* field;
@@ -357,6 +469,15 @@ TEST(FaultPlan, InvalidParametersRejected) {
          p.burst.p_enter_bad = 0.1;
          p.burst.loss_bad = nan;
        }},
+      // Each of these once turned its fault off (or ran on) silently.
+      {"faults.clock_drift.max_drift_ppm",
+       [&](FaultPlan& p) { p.clock_drift.max_drift_ppm = nan; }},
+      {"faults.clock_drift.turnaround_cycles", [&](FaultPlan& p) {
+         p.clock_drift.max_drift_ppm = 20.0;
+         p.clock_drift.turnaround_cycles = nan;
+       }},
+      {"faults.max_extra_delay_ns",
+       [](FaultPlan& p) { p.max_extra_delay_ns = -kMillisecond; }},
   };
   for (std::size_t i = 0; i < cases.size(); ++i) {
     SCOPED_TRACE(testing::Message() << "case " << i << ": " << cases[i].field);

@@ -162,7 +162,8 @@ TEST(FaultTolerance, BadConfigRejectedAtConstruction) {
   // (loss 1.5, no detecting IDs, infinite range, NaN error bound, an
   // infinite Zipf exponent that aims every flood alert at one victim, a
   // flood without collusion that schedules nothing, a negative phase start
-  // or a sensor phase that starts before the probe phase) or died
+  // or a sensor phase that starts before the probe phase, a NaN reach
+  // probability that no sensor's revocation draw ever passes) or died
   // elsewhere (NaN range in the observability layer, a Zipf exponent <= 0
   // inside the sampler without naming the field).
   const double nan = std::numeric_limits<double>::quiet_NaN();
@@ -207,6 +208,8 @@ TEST(FaultTolerance, BadConfigRejectedAtConstruction) {
        [](SystemConfig& c) { c.probe_phase_start = 90 * sim::kSecond; }},
       {"faults.loss_probability",
        [&](SystemConfig& c) { c.faults.loss_probability = nan; }},
+      {"revocation_reach_probability",
+       [&](SystemConfig& c) { c.revocation_reach_probability = nan; }},
   };
   for (std::size_t i = 0; i < cases.size(); ++i) {
     SCOPED_TRACE(testing::Message() << "case " << i << ": " << cases[i].field);

@@ -19,7 +19,7 @@ namespace {
 class CountingNode final : public Node {
  public:
   using Node::Node;
-  void start() override { ++started; }
+  void plan_start(std::vector<PlannedTimer>&) override { ++started; }
   void on_message(const Delivery&) override { ++received; }
   int started = 0;
   int received = 0;

@@ -141,7 +141,7 @@ TEST_F(NodeProtocolTest, DetectingBeaconReportsEachTargetOnce) {
   ctx_.truth[mal.id()] = BeaconTruth{mal.position(), true};
 
   detector.set_probe_targets({mal.id()});
-  detector.start();
+  net_.start_all();
   net_.run();
 
   EXPECT_EQ(ctx_.metrics.probes_sent, 4u);
@@ -163,7 +163,7 @@ TEST_F(NodeProtocolTest, DetectingBeaconStaysQuietForHonestTargets) {
   ctx_.truth[honest.id()] = BeaconTruth{honest.position(), false};
 
   detector.set_probe_targets({honest.id()});
-  detector.start();
+  net_.start_all();
   net_.run();
 
   EXPECT_EQ(ctx_.metrics.probe_replies, 2u);
@@ -184,7 +184,7 @@ TEST_F(NodeProtocolTest, SensorCollectsFiltersAndLocalizes) {
     beacon_ids.push_back(next++);
   }
   sensor.set_query_targets(beacon_ids);
-  sensor.start();
+  net_.start_all();
   net_.run();
   sensor.finalize();
 
@@ -211,7 +211,7 @@ TEST_F(NodeProtocolTest, SensorIgnoresDuplicateReplies) {
   net_.channel().add_wormhole(link);
 
   sensor.set_query_targets({beacon.id()});
-  sensor.start();
+  net_.start_all();
   net_.run();
 
   // The request and the reply each traverse direct + two tunnel paths,
